@@ -25,6 +25,7 @@ import (
 	"fsdep/internal/mountsim"
 	"fsdep/internal/report"
 	"fsdep/internal/resize2fs"
+	"fsdep/internal/sched"
 	"fsdep/internal/taint"
 	"fsdep/internal/testsuite"
 )
@@ -102,7 +103,7 @@ func BenchmarkTable4Taxonomy(b *testing.B) {
 // over all four scenarios (the paper's 64 dependencies at 7.8% FP).
 func BenchmarkTable5Extraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := report.RunTable5(taint.Intra)
+		res, err := report.RunTable5Opts(corpus.Components(), core.Options{Mode: taint.Intra}, sched.Sequential())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,13 +139,13 @@ func BenchmarkTable5SingleScenario(b *testing.B) {
 // inter-procedural extension (the paper's future work): it must never
 // extract fewer dependencies than the intra prototype.
 func BenchmarkAblationInterProcedural(b *testing.B) {
-	intra, err := report.RunTable5(taint.Intra)
+	intra, err := report.RunTable5Opts(corpus.Components(), core.Options{Mode: taint.Intra}, sched.Sequential())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inter, err := report.RunTable5(taint.Inter)
+		inter, err := report.RunTable5Opts(corpus.Components(), core.Options{Mode: taint.Inter}, sched.Sequential())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func BenchmarkConHandleCk(b *testing.B) {
 	union := extractUnion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := conhandleck.Run(union)
+		rep := conhandleck.RunParallel(union, sched.Sequential())
 		if n := len(rep.Corruptions()); n != 1 {
 			b.Fatalf("silent corruptions = %d, want 1", n)
 		}
@@ -272,7 +273,7 @@ func BenchmarkConBugCk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen := conbugck.NewGenerator(union, 42)
-		rep := conbugck.Execute(gen.Plan(10))
+		rep := conbugck.ExecuteParallel(gen.Plan(10), sched.Sequential())
 		if rep.Shallow != 0 {
 			b.Fatalf("shallow rejections = %d", rep.Shallow)
 		}
@@ -343,7 +344,7 @@ func BenchmarkFsimFileWrite(b *testing.B) {
 // hot path).
 func BenchmarkReportAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := report.All(io.Discard); err != nil {
+		if err := report.AllOpts(io.Discard, corpus.Components(), core.Options{Mode: taint.Intra}, sched.Sequential()); err != nil {
 			b.Fatal(err)
 		}
 	}

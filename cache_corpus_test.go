@@ -81,16 +81,12 @@ func TestCachedAnalyzeAllByteIdentical(t *testing.T) {
 // cold or from a warmed cache.
 func TestCachedSweepAppUnionIdentical(t *testing.T) {
 	build := func(comps map[string]*core.Component) *depmodel.Set {
-		union := depmodel.NewSet()
 		outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{},
 			sched.Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, res := range outs {
-			union.AddAll(res.Deps.Deps())
-		}
-		return union
+		return core.Union(outs)
 	}
 	cold := build(corpus.Components())
 

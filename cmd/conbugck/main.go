@@ -21,9 +21,6 @@ import (
 
 	"fsdep/internal/cliutil"
 	"fsdep/internal/conbugck"
-	"fsdep/internal/core"
-	"fsdep/internal/corpus"
-	"fsdep/internal/depmodel"
 	"fsdep/internal/sched"
 	"fsdep/internal/testsuite"
 )
@@ -33,8 +30,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "generator seed (deterministic plans)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "number of workers (output is identical for any value)")
 	stats := flag.Bool("stats", false, "print layered cache counters to stderr")
-	cacheDir := flag.String("cache-dir", cliutil.DefaultCacheDir(), "persistent extraction cache directory (empty disables)")
-	storeURL := flag.String("store-url", "", "base URL of a running fsdepd used as a remote record tier (e.g. http://127.0.0.1:7070)")
+	cacheDir, storeURL := cliutil.StoreFlags()
 	ckpt := flag.String("checkpoint", "", "journal executed configurations to this file")
 	resume := flag.Bool("resume", false, "replay executed configurations from the -checkpoint journal")
 	flag.Parse()
@@ -43,19 +39,7 @@ func main() {
 	}
 	sopts := sched.Options{Workers: *parallel}
 
-	union := depmodel.NewSet()
-	comps := corpus.Components()
-	store := cliutil.OpenStore("conbugck", *cacheDir, *storeURL)
-	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{Store: store}, sopts)
-	if err != nil {
-		cliutil.Failf("conbugck", err)
-	}
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
-	if *stats {
-		cliutil.PrintCacheStats("conbugck", comps, store)
-	}
+	union := cliutil.ExtractUnion("conbugck", *cacheDir, *storeURL, *stats, sopts)
 
 	gen := conbugck.NewGenerator(union, *seed)
 	plan := gen.Plan(*n)
@@ -65,13 +49,7 @@ func main() {
 	if err != nil {
 		cliutil.Failf("conbugck", err)
 	}
-	if j != nil {
-		replayed, recorded := j.Stats()
-		fmt.Fprintf(os.Stderr, "conbugck: checkpoint: %d replayed, %d recorded\n", replayed, recorded)
-		if err := j.Close(); err != nil {
-			cliutil.Failf("conbugck", err)
-		}
-	}
+	cliutil.CloseJournal("conbugck", j)
 	fmt.Printf("executed pipeline (mkfs → mount → workload → umount → fsck -f) under each state\n")
 	fmt.Printf("  shallow rejections: %d (the generator's goal is zero)\n", rep.Shallow)
 	fmt.Printf("  deep failures:      %d\n", rep.Deep)

@@ -26,9 +26,6 @@ import (
 
 	"fsdep/internal/cliutil"
 	"fsdep/internal/concrashck"
-	"fsdep/internal/core"
-	"fsdep/internal/corpus"
-	"fsdep/internal/depmodel"
 	"fsdep/internal/sched"
 )
 
@@ -37,8 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "base seed for fault choices (0 = default)")
 	points := flag.Int("points", 0, "max fault points per mode and scenario (0 = default 16)")
 	stats := flag.Bool("stats", false, "print layered cache counters to stderr")
-	cacheDir := flag.String("cache-dir", cliutil.DefaultCacheDir(), "persistent extraction cache directory (empty disables)")
-	storeURL := flag.String("store-url", "", "base URL of a running fsdepd used as a remote record tier (e.g. http://127.0.0.1:7070)")
+	cacheDir, storeURL := cliutil.StoreFlags()
 	ckpt := flag.String("checkpoint", "", "journal finished trials to this file")
 	resume := flag.Bool("resume", false, "replay finished trials from the -checkpoint journal")
 	flag.Parse()
@@ -50,19 +46,7 @@ func main() {
 	// The sweep catalog is selected by the extraction: analyze the
 	// corpus once and keep only the scenarios whose violated dependency
 	// the analyzer actually found.
-	union := depmodel.NewSet()
-	comps := corpus.Components()
-	store := cliutil.OpenStore("concrashck", *cacheDir, *storeURL)
-	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{Store: store}, sopts)
-	if err != nil {
-		cliutil.Failf("concrashck", err)
-	}
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
-	if *stats {
-		cliutil.PrintCacheStats("concrashck", comps, store)
-	}
+	union := cliutil.ExtractUnion("concrashck", *cacheDir, *storeURL, *stats, sopts)
 
 	j := cliutil.OpenJournal("concrashck", *ckpt, *resume)
 	rep, err := concrashck.SweepCheckpointed(concrashck.ScenariosFor(union), concrashck.Options{
@@ -72,13 +56,7 @@ func main() {
 	if err != nil {
 		cliutil.Failf("concrashck", err)
 	}
-	if j != nil {
-		replayed, recorded := j.Stats()
-		fmt.Fprintf(os.Stderr, "concrashck: checkpoint: %d replayed, %d recorded\n", replayed, recorded)
-		if err := j.Close(); err != nil {
-			cliutil.Failf("concrashck", err)
-		}
-	}
+	cliutil.CloseJournal("concrashck", j)
 	if err := rep.Render(os.Stdout); err != nil {
 		cliutil.Failf("concrashck", err)
 	}

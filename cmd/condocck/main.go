@@ -8,10 +8,11 @@ import (
 	"fmt"
 	"os"
 
+	"fsdep/internal/cliutil"
 	"fsdep/internal/condocck"
 	"fsdep/internal/core"
 	"fsdep/internal/corpus"
-	"fsdep/internal/depmodel"
+	"fsdep/internal/sched"
 	"fsdep/internal/taint"
 )
 
@@ -20,16 +21,11 @@ func main() {
 	flag.Parse()
 
 	comps := corpus.Components()
-	union := depmodel.NewSet()
-	for _, sc := range corpus.Scenarios() {
-		res, err := core.Analyze(comps, sc, core.Options{Mode: taint.Intra})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "condocck:", err)
-			os.Exit(1)
-		}
-		union.AddAll(res.Deps.Deps())
+	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{Mode: taint.Intra}, sched.Sequential())
+	if err != nil {
+		cliutil.Failf("condocck", err)
 	}
-	trueDeps, _ := corpus.Score(union.Deps())
+	trueDeps, _ := corpus.Score(core.Union(outs).Deps())
 	issues := condocck.Check(comps, trueDeps)
 	fmt.Printf("checked %d true dependencies against the manuals: %d documentation issues\n\n",
 		len(trueDeps), len(issues))

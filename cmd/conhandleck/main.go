@@ -23,47 +23,25 @@ import (
 
 	"fsdep/internal/cliutil"
 	"fsdep/internal/conhandleck"
-	"fsdep/internal/core"
-	"fsdep/internal/corpus"
-	"fsdep/internal/depmodel"
 	"fsdep/internal/sched"
 )
 
 func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "number of workers (output is identical for any value)")
 	stats := flag.Bool("stats", false, "print layered cache counters to stderr")
-	cacheDir := flag.String("cache-dir", cliutil.DefaultCacheDir(), "persistent extraction cache directory (empty disables)")
-	storeURL := flag.String("store-url", "", "base URL of a running fsdepd used as a remote record tier (e.g. http://127.0.0.1:7070)")
+	cacheDir, storeURL := cliutil.StoreFlags()
 	ckpt := flag.String("checkpoint", "", "journal finished violations to this file")
 	resume := flag.Bool("resume", false, "replay finished violations from the -checkpoint journal")
 	flag.Parse()
 	sopts := sched.Options{Workers: *parallel}
 
-	union := depmodel.NewSet()
-	comps := corpus.Components()
-	store := cliutil.OpenStore("conhandleck", *cacheDir, *storeURL)
-	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{Store: store}, sopts)
-	if err != nil {
-		cliutil.Failf("conhandleck", err)
-	}
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
-	if *stats {
-		cliutil.PrintCacheStats("conhandleck", comps, store)
-	}
+	union := cliutil.ExtractUnion("conhandleck", *cacheDir, *storeURL, *stats, sopts)
 	j := cliutil.OpenJournal("conhandleck", *ckpt, *resume)
 	rep, err := conhandleck.RunCheckpointed(union, sopts, j)
 	if err != nil {
 		cliutil.Failf("conhandleck", err)
 	}
-	if j != nil {
-		replayed, recorded := j.Stats()
-		fmt.Fprintf(os.Stderr, "conhandleck: checkpoint: %d replayed, %d recorded\n", replayed, recorded)
-		if err := j.Close(); err != nil {
-			cliutil.Failf("conhandleck", err)
-		}
-	}
+	cliutil.CloseJournal("conhandleck", j)
 	fmt.Printf("%-62s %-18s %s\n", "VIOLATION", "OUTCOME", "DETAIL")
 	for _, tr := range rep.Trials {
 		detail := tr.Detail

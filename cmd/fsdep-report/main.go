@@ -38,8 +38,7 @@ func main() {
 	table := flag.Int("table", 0, "print a single table (1-6); 0 = all paper tables (1-5)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "number of analysis workers (output is identical for any value)")
 	stats := flag.Bool("stats", false, "print layered cache counters to stderr")
-	cacheDir := flag.String("cache-dir", cliutil.DefaultCacheDir(), "persistent extraction cache directory (empty disables)")
-	storeURL := flag.String("store-url", "", "base URL of a running fsdepd used as a remote record tier (e.g. http://127.0.0.1:7070)")
+	cacheDir, storeURL := cliutil.StoreFlags()
 	flag.Parse()
 	sopts := sched.Options{Workers: *parallel}
 

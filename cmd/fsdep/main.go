@@ -57,8 +57,7 @@ func main() {
 	degraded := flag.Bool("degraded", false, "quarantine failing components instead of aborting (exit 0 with a stderr summary)")
 	verbose := flag.Bool("v", false, "list every extracted dependency")
 	stats := flag.Bool("stats", false, "print layered cache counters to stderr")
-	cacheDir := flag.String("cache-dir", cliutil.DefaultCacheDir(), "persistent extraction cache directory (empty disables)")
-	storeURL := flag.String("store-url", "", "base URL of a running fsdepd used as a remote record tier (e.g. http://127.0.0.1:7070)")
+	cacheDir, storeURL := cliutil.StoreFlags()
 	flag.Parse()
 	sopts := sched.Options{Workers: *parallel}
 
@@ -156,14 +155,13 @@ func runDegraded(comps map[string]*core.Component, scenarios []core.Scenario, co
 	if err != nil {
 		cliutil.Failf("fsdep", err)
 	}
-	union := depmodel.NewSet()
 	for _, res := range run.Results {
 		printScenarioLine(res, tm)
 		if n := len(res.UnresolvedCCD); n > 0 {
 			fmt.Printf("  (%d unresolved CCD edges against quarantined components)\n", n)
 		}
-		union.AddAll(res.Deps.Deps())
 	}
+	union := core.Union(run.Results)
 	if verbose {
 		listDeps(union)
 	}

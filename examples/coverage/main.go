@@ -14,7 +14,7 @@ import (
 	"fsdep/internal/conbugck"
 	"fsdep/internal/core"
 	"fsdep/internal/corpus"
-	"fsdep/internal/depmodel"
+	"fsdep/internal/sched"
 	"fsdep/internal/testsuite"
 )
 
@@ -28,18 +28,15 @@ func main() {
 
 	// Extract dependencies and build the generator.
 	comps := corpus.Components()
-	union := depmodel.NewSet()
-	for _, sc := range corpus.Scenarios() {
-		res, err := core.Analyze(comps, sc, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		union.AddAll(res.Deps.Deps())
+	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{}, sched.Sequential())
+	if err != nil {
+		log.Fatal(err)
 	}
+	union := core.Union(outs)
 	gen := conbugck.NewGenerator(union, 2024)
 	plan := gen.Plan(30)
 	fmt.Printf("\nConBugCk: generated %d dependency-respecting configurations\n", len(plan))
-	rep := conbugck.Execute(plan)
+	rep := conbugck.ExecuteParallel(plan, sched.Sequential())
 	fmt.Printf("  shallow rejections: %d, deep failures: %d\n", rep.Shallow, rep.Deep)
 
 	base, enhanced, newParams := rep.CoverageGain(testsuite.Xfstest().UsedParams())

@@ -12,19 +12,16 @@ import (
 	"fsdep/internal/condocck"
 	"fsdep/internal/core"
 	"fsdep/internal/corpus"
-	"fsdep/internal/depmodel"
+	"fsdep/internal/sched"
 )
 
 func main() {
 	comps := corpus.Components()
-	union := depmodel.NewSet()
-	for _, sc := range corpus.Scenarios() {
-		res, err := core.Analyze(comps, sc, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		union.AddAll(res.Deps.Deps())
+	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{}, sched.Sequential())
+	if err != nil {
+		log.Fatal(err)
 	}
+	union := core.Union(outs)
 	trueDeps, falseDeps := corpus.Score(union.Deps())
 	fmt.Printf("extraction: %d dependencies (%d true, %d false positives)\n",
 		union.Len(), len(trueDeps), len(falseDeps))

@@ -5,10 +5,13 @@
 // quarantined on stderr. It also owns the -checkpoint/-resume journal
 // plumbing so the sweep commands agree on the semantics: -checkpoint
 // alone starts a fresh journal (clobbering any previous one),
-// -checkpoint with -resume replays finished trials from it.
+// -checkpoint with -resume replays finished trials from it. The sweep
+// commands also share their extraction stage (ExtractUnion) and the
+// store flags every analysis command accepts (StoreFlags).
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -18,8 +21,11 @@ import (
 
 	"fsdep/internal/checkpoint"
 	"fsdep/internal/core"
+	"fsdep/internal/corpus"
+	"fsdep/internal/depmodel"
 	"fsdep/internal/depstore"
 	"fsdep/internal/depstore/remote"
+	"fsdep/internal/sched"
 )
 
 // Exit codes shared by every command.
@@ -68,6 +74,14 @@ func DefaultCacheDir() string {
 		return ""
 	}
 	return filepath.Join(base, "fsdep")
+}
+
+// StoreFlags registers the -cache-dir and -store-url flags every
+// analysis command shares; pass their values to OpenStore.
+func StoreFlags() (cacheDir, storeURL *string) {
+	cacheDir = flag.String("cache-dir", DefaultCacheDir(), "persistent extraction cache directory (empty disables)")
+	storeURL = flag.String("store-url", "", "base URL of a running fsdepd used as a remote record tier (e.g. http://127.0.0.1:7070)")
+	return cacheDir, storeURL
 }
 
 // OpenStore opens the persistent extraction cache: a local tier at dir
@@ -196,6 +210,23 @@ func PrintCacheStats(tool string, comps map[string]*core.Component, store *depst
 	}
 }
 
+// ExtractUnion is the extraction stage the sweep commands share: it
+// opens the store, analyzes every corpus scenario under sopts, prints
+// the cache counters when stats is set, and returns the union of the
+// extracted dependencies. An analysis failure exits 1.
+func ExtractUnion(tool, cacheDir, storeURL string, stats bool, sopts sched.Options) *depmodel.Set {
+	comps := corpus.Components()
+	store := OpenStore(tool, cacheDir, storeURL)
+	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{Store: store}, sopts)
+	if err != nil {
+		Failf(tool, err)
+	}
+	if stats {
+		PrintCacheStats(tool, comps, store)
+	}
+	return core.Union(outs)
+}
+
 // OpenJournal opens the -checkpoint journal. An empty path disables
 // journaling (nil journal, nothing recorded). Without resume a fresh
 // journal replaces any previous file; with resume the existing entries
@@ -218,4 +249,18 @@ func OpenJournal(tool, path string, resume bool) *checkpoint.Journal {
 		Failf(tool, err)
 	}
 	return j
+}
+
+// CloseJournal reports the journal's replay counters on stderr and
+// closes it; a nil journal (no -checkpoint) is a no-op. A failed close
+// is an analysis failure.
+func CloseJournal(tool string, j *checkpoint.Journal) {
+	if j == nil {
+		return
+	}
+	replayed, recorded := j.Stats()
+	fmt.Fprintf(os.Stderr, "%s: checkpoint: %d replayed, %d recorded\n", tool, replayed, recorded)
+	if err := j.Close(); err != nil {
+		Failf(tool, err)
+	}
 }

@@ -169,13 +169,11 @@ type Report struct {
 	ParamsTouched map[string]bool
 }
 
-// Execute runs every configuration through the full pipeline.
-func Execute(cfgs []Config) *Report { return ExecuteParallel(cfgs, sched.Sequential()) }
-
-// ExecuteParallel runs the configurations concurrently, bounded by
-// sopts. Each configuration drives its own fsim pipeline and records
-// coverage into a private map; results and coverage merge in plan
-// order, so the report is identical to a sequential Execute.
+// ExecuteParallel runs every configuration through the full pipeline,
+// concurrently, bounded by sopts. Each configuration drives its own
+// fsim pipeline and records coverage into a private map; results and
+// coverage merge in plan order, so the report is identical for any
+// worker count.
 func ExecuteParallel(cfgs []Config, sopts sched.Options) *Report {
 	rep, _ := ExecuteCheckpointed(cfgs, sopts, nil)
 	return rep

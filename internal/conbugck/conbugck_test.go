@@ -39,7 +39,7 @@ func TestGeneratedConfigsPassValidation(t *testing.T) {
 	if len(cfgs) != 20 {
 		t.Fatalf("planned %d configs", len(cfgs))
 	}
-	rep := Execute(cfgs)
+	rep := ExecuteParallel(cfgs, sched.Sequential())
 	if rep.Shallow != 0 {
 		for _, r := range rep.Results {
 			if r.ShallowReject {
@@ -100,7 +100,7 @@ func TestRangeOfUsesExtractedBounds(t *testing.T) {
 
 func TestCoverageGainOverXfstest(t *testing.T) {
 	g := NewGenerator(extractedDeps(t), 42)
-	rep := Execute(g.Plan(20))
+	rep := ExecuteParallel(g.Plan(20), sched.Sequential())
 	baseline := testsuite.Xfstest().UsedParams()
 	base, enhanced, newParams := rep.CoverageGain(baseline)
 	if base != len(baseline) {

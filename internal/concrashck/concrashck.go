@@ -418,11 +418,6 @@ type spec struct {
 	point   uint64
 }
 
-// Sweep runs the full cross-product sequentially.
-func Sweep(scs []Scenario, opts Options) (*Report, error) {
-	return SweepParallel(scs, opts, sched.Sequential())
-}
-
 // SweepParallel runs the cross-product of scenarios × fault points
 // concurrently under sopts. Each trial restores its own snapshot clone
 // and derives its own prng sub-seed, and trials are collected in

@@ -29,10 +29,10 @@ func figure1Pair() []Scenario {
 // and at every such fault point the fixed resize2fs must come out
 // clean or detected-and-repaired.
 func TestFigure1UnderFaultInjection(t *testing.T) {
-	rep, err := Sweep(figure1Pair(), Options{
+	rep, err := SweepParallel(figure1Pair(), Options{
 		MaxPointsPerMode: 12,
 		Modes:            []FaultMode{FaultCrash},
-	})
+	}, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSamplePoints(t *testing.T) {
 // TestVerdictCoverage: a full sweep over the Figure-1 pair with every
 // fault family must exercise clean, repaired, and silent verdicts.
 func TestVerdictCoverage(t *testing.T) {
-	rep, err := Sweep(figure1Pair(), Options{MaxPointsPerMode: 6})
+	rep, err := SweepParallel(figure1Pair(), Options{MaxPointsPerMode: 6}, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func BenchmarkConCrashCk(b *testing.B) {
 	opts := Options{MaxPointsPerMode: 3, Modes: []FaultMode{FaultCrash}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(scs, opts); err != nil {
+		if _, err := SweepParallel(scs, opts, sched.Sequential()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestSweepCheckpointResumeByteIdentical(t *testing.T) {
 		MaxPointsPerMode: 4,
 		Modes:            []FaultMode{FaultCrash, FaultReadErr},
 	}
-	ref, err := Sweep(scs, opts)
+	ref, err := SweepParallel(scs, opts, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTransientReadRetry(t *testing.T) {
 	scs := figure1Pair()[:1]
 	opts := Options{MaxPointsPerMode: 4, Modes: []FaultMode{FaultReadErr}}
 
-	rep, err := Sweep(scs, opts)
+	rep, err := SweepParallel(scs, opts, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +289,9 @@ func TestTransientReadRetry(t *testing.T) {
 		t.Fatal("no read-err trial reported a retry")
 	}
 
-	noRetry, err := Sweep(scs, Options{
+	noRetry, err := SweepParallel(scs, Options{
 		MaxPointsPerMode: 4, Modes: []FaultMode{FaultReadErr}, ReadRetries: -1,
-	})
+	}, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}

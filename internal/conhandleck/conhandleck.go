@@ -336,14 +336,11 @@ func drivers() []driver {
 	}
 }
 
-// Run executes every violation whose dependency appears in deps (or
-// all of them when deps is nil) and classifies the outcomes.
-func Run(deps *depmodel.Set) *Report { return RunParallel(deps, sched.Sequential()) }
-
-// RunParallel executes the selected violations concurrently, bounded
-// by sopts. Each trial builds its own fsim pipeline instance, and
-// trials are collected in driver order, so the report is identical to
-// a sequential Run.
+// RunParallel executes every violation whose dependency appears in
+// deps (or all of them when deps is nil) and classifies the outcomes.
+// Violations run concurrently, bounded by sopts. Each trial builds its
+// own fsim pipeline instance, and trials are collected in driver
+// order, so the report is identical for any worker count.
 func RunParallel(deps *depmodel.Set, sopts sched.Options) *Report {
 	rep, _ := RunCheckpointed(deps, sopts, nil)
 	return rep

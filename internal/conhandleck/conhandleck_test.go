@@ -30,7 +30,7 @@ func extractedDeps(t *testing.T) *depmodel.Set {
 }
 
 func TestExactlyOneSilentCorruption(t *testing.T) {
-	rep := Run(nil) // all drivers
+	rep := RunParallel(nil, sched.Sequential()) // all drivers
 	bad := rep.Corruptions()
 	if len(bad) != 1 {
 		for _, tr := range rep.Trials {
@@ -44,7 +44,7 @@ func TestExactlyOneSilentCorruption(t *testing.T) {
 }
 
 func TestMostViolationsHandledGracefully(t *testing.T) {
-	rep := Run(nil)
+	rep := RunParallel(nil, sched.Sequential())
 	if rep.Counts[Rejected] < 10 {
 		t.Errorf("rejected = %d, expected most violations to be refused", rep.Counts[Rejected])
 	}
@@ -74,19 +74,19 @@ func TestDriversMatchExtractedDependencies(t *testing.T) {
 func TestRunFiltersByDependencySet(t *testing.T) {
 	// With an empty dependency set nothing runs.
 	empty := depmodel.NewSet()
-	rep := Run(empty)
+	rep := RunParallel(empty, sched.Sequential())
 	if len(rep.Trials) != 2 {
 		// Only the two study-sourced drivers run without extraction.
 		t.Errorf("trials = %d with empty dependency set, want 2", len(rep.Trials))
 	}
-	full := Run(extractedDeps(t))
+	full := RunParallel(extractedDeps(t), sched.Sequential())
 	if len(full.Trials) != len(drivers()) {
 		t.Errorf("trials = %d, want %d", len(full.Trials), len(drivers()))
 	}
 }
 
 func TestFigure1TrialDetails(t *testing.T) {
-	rep := Run(nil)
+	rep := RunParallel(nil, sched.Sequential())
 	for _, tr := range rep.Trials {
 		if tr.Outcome == SilentCorruption {
 			if !strings.Contains(tr.Detail, "audit problems") {

@@ -328,28 +328,45 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 		}); err != nil {
 			return nil, err
 		}
-	} else if opts.Store.HasRemote() {
-		// Warm-start prefetch: pull the run's whole record manifest from
-		// the remote tier in one bulk round trip before any scenario asks
-		// for it. A no-op against batch-less daemons — the per-record
-		// fall-through below stays byte-identical — and skipped outright
-		// for local-only stores, which would pay the manifest build for
-		// nothing.
+	}
+	return runScenarios(comps, scenarios, opts, sopts, nil, unique)
+}
+
+// runScenarios is the one run driver behind AnalyzeAll,
+// AnalyzeAllDegraded and Session.Run. With a remote tier attached it
+// first pulls the run's whole record manifest in one bulk round trip;
+// local-only stores skip that, since they would pay the manifest build
+// for nothing. A failed batch falls back to per-record fetches with
+// byte-identical results. It then analyzes the scenarios under sopts,
+// in scenario order (quarantined selects degraded mode exactly as in
+// analyzeScenario), flushes the summary tables of flush (nil leaves
+// that to the caller, as Session does until Close), and pushes the
+// run's deferred record uploads in bulk.
+func runScenarios(comps map[string]*Component, scenarios []Scenario, opts Options, sopts sched.Options, quarantined map[string]error, flush []*Component) ([]*Result, error) {
+	if opts.Store != nil && opts.Store.HasRemote() {
 		opts.Store.Prefetch(PrefetchRefs(comps, scenarios, opts))
 	}
 	res, err := sched.Map(sopts, scenarios, func(_ int, sc Scenario) (*Result, error) {
-		return Analyze(comps, sc, opts)
+		return analyzeScenario(comps, sc, opts, quarantined)
 	})
 	if err != nil {
 		return nil, err
 	}
-	FlushSummaries(opts.Store, unique)
+	FlushSummaries(opts.Store, flush)
 	if opts.Store != nil {
-		// Push the run's deferred record uploads in bulk (after the
-		// summary flush, which enqueues the last of them).
+		// After the summary flush, which enqueues the last uploads.
 		opts.Store.FlushRemote()
 	}
 	return res, nil
+}
+
+// Union returns the set union of the results' extracted dependencies.
+func Union(results []*Result) *depmodel.Set {
+	union := depmodel.NewSet()
+	for _, res := range results {
+		union.AddAll(res.Deps.Deps())
+	}
+	return union
 }
 
 // uniqueComponents validates scenario references up front and collects

@@ -111,15 +111,9 @@ func AnalyzeAllDegraded(comps map[string]*Component, scenarios []Scenario, opts 
 			})
 		}
 	}
-	// Bulk-prefetch the taint and summary records the healthy components
-	// will read (scenario records ride along unused — degraded runs skip
-	// that fast path — a few spare bytes for one round trip).
-	if opts.Store != nil && opts.Store.HasRemote() {
-		opts.Store.Prefetch(PrefetchRefs(comps, scenarios, opts))
-	}
-	results, err := sched.Map(sopts, scenarios, func(_ int, sc Scenario) (*Result, error) {
-		return analyzeScenario(comps, sc, opts, quarantined)
-	})
+	// Scenario records ride along unused in the prefetch — degraded
+	// runs skip that fast path — a few spare bytes for one round trip.
+	results, err := runScenarios(comps, scenarios, opts, sopts, quarantined, unique)
 	if err != nil {
 		return nil, err
 	}
@@ -134,10 +128,6 @@ func AnalyzeAllDegraded(comps map[string]*Component, scenarios []Scenario, opts 
 				run.Degradations = append(run.Degradations, d)
 			}
 		}
-	}
-	FlushSummaries(opts.Store, unique)
-	if opts.Store != nil {
-		opts.Store.FlushRemote()
 	}
 	return run, nil
 }

@@ -99,30 +99,21 @@ func (s *Session) Run() ([]*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var stale []int
+	var staleScs []Scenario
 	for i, ok := range s.fresh {
 		if !ok {
 			stale = append(stale, i)
+			staleScs = append(staleScs, s.scenarios[i])
 		}
 	}
-	if s.opts.Store != nil && s.opts.Store.HasRemote() && len(stale) > 0 {
-		staleScs := make([]Scenario, len(stale))
-		for j, i := range stale {
-			staleScs[j] = s.scenarios[i]
-		}
-		s.opts.Store.Prefetch(PrefetchRefs(s.comps, staleScs, s.opts))
-	}
-	outs, err := sched.Map(s.sopts, stale, func(_ int, i int) (*Result, error) {
-		return analyzeScenario(s.comps, s.scenarios[i], s.opts, nil)
-	})
+	// Summaries flush on Close, not per Run.
+	outs, err := runScenarios(s.comps, staleScs, s.opts, s.sopts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	for j, i := range stale {
 		s.results[i] = outs[j]
 		s.fresh[i] = true
-	}
-	if s.opts.Store != nil {
-		s.opts.Store.FlushRemote()
 	}
 	return append([]*Result(nil), s.results...), nil
 }
@@ -161,16 +152,9 @@ func (s *Session) Close() {
 	if s.opts.Store == nil {
 		return
 	}
-	unique := make([]*Component, 0, len(s.comps))
-	seen := make(map[string]bool, len(s.comps))
-	for _, sc := range s.scenarios {
-		for _, name := range sc.Components {
-			if c := s.comps[name]; c != nil && !seen[name] {
-				seen[name] = true
-				unique = append(unique, c)
-			}
-		}
-	}
+	// NewSession validated every reference, and Invalidate only swaps
+	// components, so this cannot fail.
+	unique, _ := uniqueComponents(s.comps, s.scenarios)
 	FlushSummaries(s.opts.Store, unique)
 	s.opts.Store.FlushRemote()
 }

@@ -79,7 +79,7 @@ func renderDeps(t *testing.T, results []*Result) string {
 
 func openStoreT(t *testing.T, dir string) *depstore.Store {
 	t.Helper()
-	s, err := depstore.Open(dir)
+	s, err := depstore.OpenWith(depstore.Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}

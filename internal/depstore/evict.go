@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -28,8 +27,9 @@ type recordInfo struct {
 
 // Evict deletes least-recently-used records from the local tier until
 // its total size is at most maxBytes, and returns how many records
-// were deleted. Records across both layouts (sharded and legacy flat)
-// compete in one LRU order: oldest mtime first, ties broken by path.
+// were deleted. Every record file under the store root — including a
+// leftover from an older layout, which no Get reads — competes in one
+// LRU order: oldest mtime first, ties broken by path.
 // Remote-only stores and non-positive budgets with an empty store are
 // no-ops. Concurrent readers are safe — an unlinked record simply
 // reads as a miss, which re-extracts — and races with other evictors
@@ -69,28 +69,12 @@ func (s *Store) Evict(maxBytes int64) (int, error) {
 }
 
 // scan collects every record file in the local tier with its size and
-// mtime. Temp files (in-flight Puts) are skipped.
+// mtime. Quarantined records are post-mortem evidence, not cache
+// contents, so they don't compete for the LRU budget.
 func (s *Store) scan() ([]recordInfo, int64, error) {
 	var recs []recordInfo
 	var total int64
-	err := s.fsys.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil // raced with an eviction or rename
-			}
-			return err
-		}
-		if d.IsDir() {
-			if path == filepath.Join(s.dir, QuarantineDir) {
-				// Quarantined records are post-mortem evidence, not cache
-				// contents; they don't compete for the LRU budget.
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".rec") {
-			return nil
-		}
+	err := s.walkRecords(func(path string, d fs.DirEntry) error {
 		info, err := d.Info()
 		if err != nil {
 			if os.IsNotExist(err) {
@@ -106,19 +90,10 @@ func (s *Store) scan() ([]recordInfo, int64, error) {
 }
 
 // ListRecords returns the paths of every record of the given kind
-// under dir, across both the sharded and the legacy flat layout,
-// sorted. It exists for tests and tooling that need to inspect or
-// prune a cache directory without hard-coding the layout.
+// under dir, sorted. It exists for tests and tooling that need to
+// inspect or prune a cache directory without hard-coding the layout.
 func ListRecords(dir, kind string) ([]string, error) {
-	sharded, err := filepath.Glob(filepath.Join(dir, kind, "*", "*", "*.rec"))
-	if err != nil {
-		return nil, err
-	}
-	flat, err := filepath.Glob(filepath.Join(dir, kind+"-*.rec"))
-	if err != nil {
-		return nil, err
-	}
-	out := append(sharded, flat...)
+	out, err := filepath.Glob(filepath.Join(dir, kind, "*", "*", "*.rec"))
 	sort.Strings(out)
-	return out, nil
+	return out, err
 }

@@ -229,11 +229,6 @@ type Client struct {
 	rawBytes      atomic.Uint64
 	wireBytes     atomic.Uint64
 
-	// batchUnsupported latches when the daemon answers a batch endpoint
-	// with 404/405: it predates the protocol, so further batch calls
-	// fail fast locally and the store falls back to per-record traffic.
-	batchUnsupported atomic.Bool
-
 	// flights coalesces concurrent identical Gets: parallel sweep
 	// workers missing on the same key share one HTTP fetch instead of
 	// each paying their own round trip.
@@ -592,26 +587,15 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// noteBatchUnsupported latches the daemon as batch-less. The latch is
-// sticky for the client's lifetime: CLI processes are short-lived, and
-// a daemon does not un-learn an endpoint, so one 404 is proof enough.
-func (c *Client) noteBatchUnsupported() {
-	c.batchUnsupported.Store(true)
-}
-
 // BatchGet fetches many refs in one round trip via POST
 // /v1/store/batch-get, negotiating gzip transport compression. It
 // returns ok=false — with zero records — whenever the batch answer
-// cannot be fully trusted: daemon predates the protocol (latched so
-// later calls fail fast locally), breaker open, transport failure, or
-// a truncated/corrupted stream. The caller falls back to per-record
-// Gets; a damaged batch can never poison a store.
+// cannot be fully trusted: a non-200 answer, breaker open, transport
+// failure, or a truncated/corrupted stream. The caller falls back to
+// per-record Gets; a damaged batch can never poison a store.
 func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 	if len(refs) == 0 {
 		return map[depstore.Ref][]byte{}, true
-	}
-	if c.batchUnsupported.Load() {
-		return nil, false
 	}
 	manifest := batchManifest{Refs: make([]batchRef, len(refs))}
 	for i, ref := range refs {
@@ -628,15 +612,7 @@ func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 		"Content-Type":    "application/json",
 		"Accept-Encoding": "gzip",
 	}, maxBatchBytes)
-	if err != nil {
-		return nil, false
-	}
-	switch res.status {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		c.noteBatchUnsupported()
-		return nil, false
-	default:
+	if err != nil || res.status != http.StatusOK {
 		return nil, false
 	}
 	stream := io.Reader(bytes.NewReader(res.body))
@@ -677,9 +653,6 @@ func (c *Client) BatchPut(recs []depstore.BatchRecord) bool {
 	if len(recs) == 0 {
 		return true
 	}
-	if c.batchUnsupported.Load() {
-		return false
-	}
 	wrecs := make([]wire.Record, len(recs))
 	for i, rec := range recs {
 		wrecs[i] = wire.Record{Kind: rec.Kind, Key: rec.Key, Payload: rec.Payload}
@@ -699,20 +672,12 @@ func (c *Client) BatchPut(recs []depstore.BatchRecord) bool {
 	res, err := c.do(http.MethodPost, c.base+"/v1/store/batch-put", zipped.Bytes(), map[string]string{
 		"Content-Encoding": "gzip",
 	}, 4096)
-	if err != nil {
+	if err != nil || (res.status != http.StatusNoContent && res.status != http.StatusOK) {
 		return false
 	}
-	switch res.status {
-	case http.StatusNoContent, http.StatusOK:
-		c.batches.Add(1)
-		c.batchRecords.Add(uint64(len(recs)))
-		c.rawBytes.Add(uint64(framed.Len()))
-		c.wireBytes.Add(uint64(zipped.Len()))
-		return true
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		c.noteBatchUnsupported()
-		return false
-	default:
-		return false
-	}
+	c.batches.Add(1)
+	c.batchRecords.Add(uint64(len(recs)))
+	c.rawBytes.Add(uint64(framed.Len()))
+	c.wireBytes.Add(uint64(zipped.Len()))
+	return true
 }

@@ -1,27 +1,25 @@
 // Self-healing scrub. A corrupt, torn, or version-skewed record is
 // refused by every Get — correct, but the refusal repeats forever: the
 // record sits on disk re-failing validation on every lookup, burning a
-// read, a parse, and a checksum each time, and (worse) shadowing the
-// legacy-layout fallback. Scrub walks the local tier once, re-validates
-// every record exactly the way Get does, and removes — or quarantines,
-// for post-mortem — the ones that can never be served again, so the
-// store converges back to all-valid after any crash or corruption
-// event. fsdepd runs it at startup with -scrub and on demand via
-// POST /v1/scrub.
+// read, a parse, and a checksum each time. Scrub walks the local tier
+// once, re-validates every record exactly the way Get does, and
+// removes — or quarantines, for post-mortem — the ones that can never
+// be served again, so the store converges back to all-valid after any
+// crash or corruption event. fsdepd runs it at startup with -scrub and
+// on demand via POST /v1/scrub.
 
 package depstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 )
 
-// QuarantineDir is the subdirectory of the store root that ScrubQ
-// moves refused records into. Scrub and Evict skip it.
+// QuarantineDir is the subdirectory of the store root that a
+// quarantining Scrub moves refused records into. Scrub and Evict skip
+// it.
 const QuarantineDir = "quarantine"
 
 // ScrubOptions configures a scrub pass.
@@ -51,9 +49,9 @@ type ScrubReport struct {
 // Bad returns how many refused records the pass found.
 func (r ScrubReport) Bad() int { return r.Corrupt + r.VersionSkew + r.KindMismatch }
 
-// Scrub re-validates every record in the local tier (both layouts) and
-// deletes — or, with opts.Quarantine, moves aside — every record that
-// Get would refuse: unparseable or torn envelopes, checksum failures,
+// Scrub re-validates every record in the local tier and deletes — or,
+// with opts.Quarantine, moves aside — every record that Get would
+// refuse: unparseable or torn envelopes, checksum failures,
 // format-version skew, and records whose envelope kind disagrees with
 // their on-disk location. Valid records are untouched, as are in-flight
 // temp files (a concurrent Put's rename must not race the scrub).
@@ -64,23 +62,7 @@ func (s *Store) Scrub(opts ScrubOptions) (ScrubReport, error) {
 	if s.dir == "" {
 		return rep, nil
 	}
-	qdir := filepath.Join(s.dir, QuarantineDir)
-	walkErr := s.fsys.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil // raced with an eviction or a concurrent scrub
-			}
-			return err
-		}
-		if d.IsDir() {
-			if path == qdir {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".rec") {
-			return nil
-		}
+	walkErr := s.walkRecords(func(path string, _ fs.DirEntry) error {
 		rep.Scanned++
 		verdict := s.validateRecord(path)
 		if verdict == recordOK {
@@ -100,7 +82,7 @@ func (s *Store) Scrub(opts ScrubOptions) (ScrubReport, error) {
 			rep.KindMismatch++
 		}
 		if opts.Quarantine {
-			if err := s.quarantine(path, qdir); err != nil {
+			if err := s.quarantine(path); err != nil {
 				rep.Errors++
 				return nil
 			}
@@ -117,69 +99,56 @@ func (s *Store) Scrub(opts ScrubOptions) (ScrubReport, error) {
 	return rep, walkErr
 }
 
-// recordVerdict classifies one on-disk record during a scrub.
-type recordVerdict uint8
+// walkRecords calls fn for every record file in the local tier, the
+// one walk Scrub and Evict share: the quarantine directory and
+// in-flight temp files are skipped, and entries that vanish mid-walk
+// (a concurrent eviction, scrub, or rename) are tolerated.
+func (s *Store) walkRecords(fn func(path string, d fs.DirEntry) error) error {
+	qdir := filepath.Join(s.dir, QuarantineDir)
+	return s.fsys.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			if os.IsNotExist(err) {
+				return nil
+			}
+			return err
+		}
+		if d.IsDir() {
+			if path == qdir {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".rec") {
+			return nil
+		}
+		return fn(path, d)
+	})
+}
 
-const (
-	recordOK recordVerdict = iota
-	recordUnreadable
-	recordCorrupt
-	recordVersionSkew
-	recordKindMismatch
-)
-
-// validateRecord applies exactly Get's refusal checks to the record at
-// path, deriving the expected kind from the record's location so a
-// record misfiled under the wrong kind directory is caught too.
+// validateRecord applies Get's refusal checks to the record at path,
+// deriving the expected kind from the record's location
+// (dir/kind/ab/cd/key.rec) so a record misfiled under the wrong kind
+// directory is caught too. A file anywhere else is unreachable by Get
+// and skips the kind check.
 func (s *Store) validateRecord(path string) recordVerdict {
 	raw, err := s.fsys.ReadFile(path)
 	if err != nil {
 		return recordUnreadable
 	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return recordCorrupt // torn: the header line never finished
-	}
-	var env envelope
-	if err := json.Unmarshal(raw[:nl], &env); err != nil {
-		return recordCorrupt
-	}
-	if env.Format != formatVersion {
-		return recordVersionSkew
-	}
-	if want, ok := s.kindOf(path); ok && env.Kind != want {
-		return recordKindMismatch
-	}
-	if payloadSum(raw[nl+1:]) != env.Sum {
-		return recordCorrupt
-	}
-	return recordOK
-}
-
-// kindOf derives the kind a record at path claims by its location:
-// dir/kind/ab/cd/key.rec in the sharded layout, dir/kind-key.rec in
-// the legacy flat one. Records at neither location report !ok and skip
-// the kind check (they are unreachable by Get anyway).
-func (s *Store) kindOf(path string) (string, bool) {
-	rel, err := filepath.Rel(s.dir, path)
-	if err != nil {
-		return "", false
-	}
-	parts := strings.Split(rel, string(filepath.Separator))
-	if len(parts) == 4 {
-		return parts[0], true
-	}
-	if len(parts) == 1 {
-		if i := strings.IndexByte(parts[0], '-'); i > 0 {
-			return parts[0][:i], true
+	kind := ""
+	if rel, err := filepath.Rel(s.dir, path); err == nil {
+		if parts := strings.Split(rel, string(filepath.Separator)); len(parts) == 4 {
+			kind = parts[0]
 		}
 	}
-	return "", false
+	_, verdict := decodeRecord(raw, kind)
+	return verdict
 }
 
-// quarantine moves one refused record into qdir, flattening its path
-// so sharded and legacy records coexist there.
-func (s *Store) quarantine(path, qdir string) error {
+// quarantine moves one refused record into qdir, flattening its
+// sharded path into the file name.
+func (s *Store) quarantine(path string) error {
+	qdir := filepath.Join(s.dir, QuarantineDir)
 	if err := s.fsys.MkdirAll(qdir, 0o755); err != nil {
 		return err
 	}

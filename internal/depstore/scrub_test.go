@@ -168,36 +168,35 @@ func TestScrubHealsTheRepeatedInvalidation(t *testing.T) {
 }
 
 func TestScrubRemoteOnlyAndLegacyLayout(t *testing.T) {
-	ro, err := OpenTiered("", newFakeRemote())
+	ro, err := OpenWith(Options{Remote: newFakeRemote()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := ro.Scrub(ScrubOptions{}); err != nil || rep.Scanned != 0 {
 		t.Errorf("remote-only scrub = %+v, %v", rep, err)
 	}
-	// Legacy flat records are scanned, kind-checked from their filename
-	// prefix, and healed like sharded ones.
+	// A record left in the old flat layout (kind-key.rec in the store
+	// root) is never served, but Scrub still validates it and Evict
+	// still ages it out.
 	s := openT(t)
 	k := Key("legacy")
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(s.path(KindTaint, k), s.legacyPath(KindTaint, k)); err != nil {
+	if err := os.Rename(s.path(KindTaint, k), filepath.Join(s.Dir(), KindTaint+"-"+k+".rec")); err != nil {
 		t.Fatal(err)
 	}
-	bad := Key("legacy-bad")
-	if err := os.WriteFile(s.legacyPath(KindTaint, bad), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, ok := s.Get(KindTaint, k); ok {
+		t.Fatal("flat leftover served")
 	}
-	rep, err := s.Scrub(ScrubOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Misses != 1 || st.Invalidations != 0 {
+		t.Errorf("stats = %+v", st)
 	}
-	if rep.Scanned != 2 || rep.Valid != 1 || rep.Corrupt != 1 || rep.Removed != 1 {
-		t.Errorf("legacy scrub = %+v", rep)
+	if rep, err := s.Scrub(ScrubOptions{}); err != nil || rep.Scanned != 1 || rep.Valid != 1 {
+		t.Errorf("scrub = %+v, %v", rep, err)
 	}
-	if _, ok := s.Get(KindTaint, k); !ok {
-		t.Error("valid legacy record removed by scrub")
+	if n, err := s.Evict(0); err != nil || n != 1 {
+		t.Errorf("Evict = %d, %v; want the leftover aged out", n, err)
 	}
 }
 
@@ -207,7 +206,7 @@ func TestScrubRemoteOnlyAndLegacyLayout(t *testing.T) {
 // an invalidation.
 func TestEvictRacingGetPut(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenWith(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

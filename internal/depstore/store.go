@@ -22,11 +22,9 @@
 //
 // On disk, records fan out two levels by key prefix
 // (kind/ab/cd/key.rec) so a store shared by a fleet never piles tens
-// of thousands of files into one directory; the flat legacy layout
-// (kind-key.rec) is still read transparently, so caches written by
-// older builds keep answering. Every hit refreshes the record's
-// timestamp in place (no rename), giving Evict an LRU signal, and a
-// Store can carry a Remote tier — typically a running fsdepd, via
+// of thousands of files into one directory. Every hit refreshes the
+// record's timestamp in place (no rename), giving Evict an LRU signal,
+// and a Store can carry a Remote tier — typically a running fsdepd, via
 // internal/depstore/remote — consulted on local miss and warmed on
 // every Put, so many clients share one warm extraction corpus.
 package depstore
@@ -98,9 +96,8 @@ type BatchRecord struct {
 
 // BatchRemote is a Remote that additionally speaks the bulk framed
 // protocol (internal/depstore/wire): many records per round trip.
-// Both methods report ok=false when the batch path is unavailable —
-// the remote end predates the protocol, or the transfer failed — and
-// the caller falls back to per-record calls; a false return must admit
+// Both methods report ok=false when the batch transfer failed, and the
+// caller falls back to per-record calls; a false return must admit
 // nothing (the wire layer guarantees a damaged stream yields zero
 // records). The canonical implementation is internal/depstore/remote.
 type BatchRemote interface {
@@ -183,7 +180,8 @@ type Store struct {
 }
 
 // Options configures OpenWith. The zero value is invalid (a store
-// needs at least one tier).
+// needs at least one tier): Dir roots an optional local tier and
+// Remote an optional fall-through tier consulted on local miss.
 type Options struct {
 	// Dir roots the local on-disk tier ("" = no local tier).
 	Dir string
@@ -205,29 +203,13 @@ type Options struct {
 	HotRecords int
 }
 
-// Open creates (if needed) and opens a local-only store rooted at dir.
-// The directory is probed for writability up front, so an unwritable
-// cache location fails here — loudly, once — instead of silently
-// degrading every Put later.
-func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("depstore: empty cache directory")
-	}
-	return OpenTiered(dir, nil)
-}
-
-// OpenTiered opens a store with a local tier at dir (optional, "" for
-// none), falling through to remote (optional, nil for none) on local
-// miss. At least one tier is required.
-func OpenTiered(dir string, remote Remote) (*Store, error) {
-	return OpenWith(Options{Dir: dir, Remote: remote})
-}
-
-// OpenWith opens a store per the given options. See OpenTiered for the
-// tier semantics.
+// OpenWith opens a store per the given options. A local directory is
+// created if needed and probed for writability up front, so an
+// unwritable cache location fails here — loudly, once — instead of
+// silently degrading every Put later.
 func OpenWith(o Options) (*Store, error) {
 	if o.Dir == "" && o.Remote == nil {
-		return nil, fmt.Errorf("depstore: empty cache directory")
+		return nil, fmt.Errorf("depstore: no tier configured: need a cache directory, a remote, or both")
 	}
 	fsys := o.FS
 	if fsys == nil {
@@ -306,22 +288,12 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// path is a record's canonical location: two levels of hex fan-out
-// under the kind directory, so fleet-sized stores keep every directory
-// small. Keys shorter than the fan-out prefix (never produced by Key)
-// stay in the flat legacy layout.
+// path is a record's location: two levels of hex fan-out under the
+// kind directory, so fleet-sized stores keep every directory small.
+// Keys come from Key or pass the daemon's reference validation, so
+// they are always long enough for the fan-out prefix.
 func (s *Store) path(kind, key string) string {
-	if len(key) < 4 {
-		return s.legacyPath(kind, key)
-	}
 	return filepath.Join(s.dir, kind, key[:2], key[2:4], key+".rec")
-}
-
-// legacyPath is the pre-fan-out flat layout (kind-key.rec in the store
-// root). Reads fall back to it so caches written by older builds keep
-// working; writes always use the sharded layout.
-func (s *Store) legacyPath(kind, key string) string {
-	return filepath.Join(s.dir, kind+"-"+key+".rec")
 }
 
 // Get returns the payload stored under (kind, key), or (nil, false)
@@ -409,38 +381,17 @@ func (s *Store) notePresent(kind, key string) {
 	s.negMu.Unlock()
 }
 
-// localGet reads and validates one on-disk record, trying the sharded
-// layout first and the flat legacy layout second. Refusals are counted
-// here; the final miss (if no other tier answers) is counted by Get.
+// localGet reads and validates one on-disk record. Refusals are
+// counted here; the final miss (if no other tier answers) is counted
+// by Get.
 func (s *Store) localGet(kind, key string) ([]byte, bool) {
 	path := s.path(kind, key)
 	raw, err := s.fsys.ReadFile(path)
 	if err != nil {
-		legacy := s.legacyPath(kind, key)
-		if legacy == path {
-			return nil, false
-		}
-		if raw, err = s.fsys.ReadFile(legacy); err != nil {
-			return nil, false
-		}
-		path = legacy
-	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		s.noteInvalid()
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(raw[:nl], &env); err != nil {
-		s.noteInvalid()
-		return nil, false
-	}
-	if env.Format != formatVersion || env.Kind != kind {
-		s.noteInvalid()
-		return nil, false
-	}
-	payload := raw[nl+1:]
-	if payloadSum(payload) != env.Sum {
+	payload, verdict := decodeRecord(raw, kind)
+	if verdict != recordOK {
 		s.noteInvalid()
 		return nil, false
 	}
@@ -452,6 +403,46 @@ func (s *Store) localGet(kind, key string) ([]byte, bool) {
 	now := time.Now()
 	_ = s.fsys.Chtimes(path, now, now)
 	return payload, true
+}
+
+// recordVerdict is decodeRecord's classification of one on-disk
+// record; Scrub tallies them.
+type recordVerdict uint8
+
+const (
+	recordOK recordVerdict = iota
+	recordUnreadable
+	recordCorrupt
+	recordVersionSkew
+	recordKindMismatch
+)
+
+// decodeRecord unframes one on-disk record and applies every refusal
+// check: a torn or unparseable header, a format-version skew, an
+// envelope kind other than kind (an empty kind skips that check), and
+// a checksum mismatch. It returns the payload (a sub-slice of raw)
+// only with recordOK. Get and Scrub both decide through it, so a
+// record Scrub keeps is exactly a record Get serves.
+func decodeRecord(raw []byte, kind string) ([]byte, recordVerdict) {
+	nl := bytes.IndexByte(raw, '\n')
+	if nl < 0 {
+		return nil, recordCorrupt // torn: the header line never finished
+	}
+	var env envelope
+	if err := json.Unmarshal(raw[:nl], &env); err != nil {
+		return nil, recordCorrupt
+	}
+	if env.Format != formatVersion {
+		return nil, recordVersionSkew
+	}
+	if kind != "" && env.Kind != kind {
+		return nil, recordKindMismatch
+	}
+	payload := raw[nl+1:]
+	if payloadSum(payload) != env.Sum {
+		return nil, recordCorrupt
+	}
+	return payload, recordOK
 }
 
 // Put stores payload under (kind, key) in the local tier (temp file +
@@ -531,11 +522,9 @@ func (s *Store) FlushRemote() {
 }
 
 // pushBatch uploads one pending batch, falling back to per-record
-// pushes when the bulk path cannot deliver — a batch-less daemon (the
-// client latches that case, so later flushes skip straight here
-// without an HTTP probe) or a transport failure. Per-record pushes
-// ride the usual retry/breaker machinery, so a dead daemon costs a
-// breaker trip, not a hang.
+// pushes when the bulk transfer fails. Per-record pushes ride the
+// usual retry/breaker machinery, so a dead daemon costs a breaker
+// trip, not a hang.
 func (s *Store) pushBatch(br BatchRemote, recs []BatchRecord) {
 	if br.BatchPut(recs) {
 		atomic.AddUint64(&s.remoteWrites, uint64(len(recs)))
@@ -554,9 +543,9 @@ func (s *Store) pushBatch(br BatchRemote, recs []BatchRecord) {
 // an analysis, so a warm start against a remote store pays one round
 // trip instead of one per record. Refs already present locally are
 // skipped (and admitted to the hot tier); the rest travel in a single
-// BatchGet. A remote that cannot serve the batch (older daemon,
-// transport failure) degrades silently — the analysis simply falls
-// back to per-record fetches on miss, byte-identical either way.
+// BatchGet. A batch that fails degrades silently — the analysis
+// simply falls back to per-record fetches on miss, byte-identical
+// either way.
 func (s *Store) Prefetch(refs []Ref) {
 	if s.remote == nil || len(refs) == 0 {
 		return

@@ -13,7 +13,7 @@ import (
 
 func openT(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir())
+	s, err := OpenWith(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestKindMismatchRefused(t *testing.T) {
 
 func TestOpenRejectsUnusableDir(t *testing.T) {
 	// A path whose parent is a regular file cannot become a directory;
-	// Open must fail loudly so cliutil can fall back to cold extraction
+	// OpenWith must fail loudly so cliutil can fall back to cold extraction
 	// with a note. (chmod-based permission checks are useless under
 	// root, which CI may run as.)
 	base := t.TempDir()
@@ -190,11 +190,13 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(filepath.Join(file, "sub")); err == nil {
+	if _, err := OpenWith(Options{Dir: filepath.Join(file, "sub")}); err == nil {
 		t.Fatal("Open under a regular file succeeded")
 	}
-	if _, err := Open(""); err == nil {
-		t.Fatal("Open with empty dir succeeded")
+	// Neither tier: the error must name that fault, not blame a
+	// directory nobody passed.
+	if _, err := OpenWith(Options{}); err == nil || !strings.Contains(err.Error(), "no tier configured") {
+		t.Fatalf("OpenWith with no tier = %v, want a no-tier-configured error", err)
 	}
 }
 
@@ -210,7 +212,7 @@ func TestConcurrentSharedDir(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := Open(dir) // each worker models its own process
+			s, err := OpenWith(Options{Dir: dir}) // each worker models its own process
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return

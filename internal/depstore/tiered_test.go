@@ -45,7 +45,7 @@ func (f *fakeRemote) Put(kind, key string, payload []byte) error {
 
 func TestPutUsesShardedLayout(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenWith(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,39 +57,11 @@ func TestPutUsesShardedLayout(t *testing.T) {
 	if _, err := os.Stat(want); err != nil {
 		t.Errorf("record not at sharded path %s: %v", want, err)
 	}
-	if _, err := os.Stat(s.legacyPath(KindTaint, k)); !os.IsNotExist(err) {
-		t.Errorf("write landed in the legacy flat layout")
-	}
-}
-
-func TestLegacyFlatLayoutReadThrough(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key("old-cache")
-	payload := []byte(`{"era":"flat"}`)
-	if err := s.Put(KindScenario, k, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Demote the record to where a pre-fan-out build would have written
-	// it, and clear the sharded copy.
-	if err := os.Rename(s.path(KindScenario, k), s.legacyPath(KindScenario, k)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(KindScenario, k)
-	if !ok || string(got) != string(payload) {
-		t.Fatalf("legacy record not read through: %q, %v", got, ok)
-	}
-	if st := s.Stats(); st.Hits != 1 || st.Invalidations != 0 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
 func TestGetRefreshesMtime(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenWith(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +100,7 @@ func ageRecords(t *testing.T, paths []string, base time.Time) {
 
 func TestEvictDropsLeastRecentlyUsed(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenWith(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +147,7 @@ func TestEvictDropsLeastRecentlyUsed(t *testing.T) {
 
 func TestEvictTieBreaksByPath(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenWith(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +206,7 @@ func TestEvictNoopsUnderBudgetAndRemoteOnly(t *testing.T) {
 	if n, err := s.Evict(1 << 30); err != nil || n != 0 {
 		t.Errorf("under-budget evict = %d, %v", n, err)
 	}
-	ro, err := OpenTiered("", newFakeRemote())
+	ro, err := OpenWith(Options{Remote: newFakeRemote()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +221,7 @@ func TestTieredRemoteFallThroughAndWriteBack(t *testing.T) {
 	payload := []byte(`{"from":"daemon"}`)
 	rem.recs[KindScenario+"/"+k] = payload
 
-	s, err := OpenTiered(t.TempDir(), rem)
+	s, err := OpenWith(Options{Dir: t.TempDir(), Remote: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +249,7 @@ func TestTieredRemoteFallThroughAndWriteBack(t *testing.T) {
 
 func TestTieredPutWarmsRemote(t *testing.T) {
 	rem := newFakeRemote()
-	s, err := OpenTiered(t.TempDir(), rem)
+	s, err := OpenWith(Options{Dir: t.TempDir(), Remote: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +268,7 @@ func TestTieredPutWarmsRemote(t *testing.T) {
 func TestTieredRemotePutErrorIsNotFatal(t *testing.T) {
 	rem := newFakeRemote()
 	rem.putErr = fmt.Errorf("daemon gone")
-	s, err := OpenTiered(t.TempDir(), rem)
+	s, err := OpenWith(Options{Dir: t.TempDir(), Remote: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +284,7 @@ func TestTieredRemotePutErrorIsNotFatal(t *testing.T) {
 
 func TestRemoteOnlyStore(t *testing.T) {
 	rem := newFakeRemote()
-	s, err := OpenTiered("", rem)
+	s, err := OpenWith(Options{Remote: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,21 +315,16 @@ func TestRemoteOnlyStore(t *testing.T) {
 	}
 }
 
-func TestListRecordsSpansBothLayouts(t *testing.T) {
+func TestListRecordsFiltersByKind(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenWith(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := Key("new-style")
-	flat := Key("old-style")
-	for _, k := range []string{sharded, flat} {
+	for _, k := range []string{Key("one"), Key("two")} {
 		if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.Rename(s.path(KindTaint, flat), s.legacyPath(KindTaint, flat)); err != nil {
-		t.Fatal(err)
 	}
 	// A different kind must not leak into the listing.
 	if err := s.Put(KindScenario, Key("other"), []byte(`{"v":1}`)); err != nil {
@@ -368,7 +335,7 @@ func TestListRecordsSpansBothLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("ListRecords = %v, want both layouts' taint records", got)
+		t.Fatalf("ListRecords = %v, want both taint records", got)
 	}
 	for _, p := range got {
 		if !strings.Contains(p, "taint") {

@@ -7,17 +7,13 @@ import (
 	"testing"
 )
 
-// TestAllGolden pins the complete stdout of report.All — every table,
+// TestAllGolden pins the complete stdout of report.AllOpts — every table,
 // the figure reproductions, and the summary lines — byte for byte.
 // Together with TestExtractionGolden this is the contract the
 // allocation-free frontend must honor: faster compilation, identical
 // output.
 func TestAllGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := All(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
+	got := renderAll(t)
 	path := filepath.Join("testdata", "all_golden.txt")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -34,7 +30,7 @@ func TestAllGolden(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("report.All output drifted from golden (%d vs %d bytes); run with -update after verifying the change",
+		t.Errorf("report.AllOpts output drifted from golden (%d vs %d bytes); run with -update after verifying the change",
 			len(got), len(want))
 	}
 }

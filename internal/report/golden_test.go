@@ -17,10 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // full extraction — any change to the frontend, taint engine,
 // derivation rules, or corpus shows up as a diff here.
 func TestExtractionGolden(t *testing.T) {
-	res, err := RunTable5(taint.Intra)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runTable5(t, taint.Intra)
 	file := &depmodel.File{
 		Ecosystem:    "ext4",
 		Scenario:     "all-scenarios",

@@ -169,35 +169,19 @@ func (t *Table5Result) FPRate() float64 {
 	return float64(t.TotalFP()) / float64(t.TotalExtracted()) * 100
 }
 
-// RunTable5 executes the analyzer over every scenario and scores the
-// extractions against the corpus ground truth.
-func RunTable5(mode taint.Mode) (*Table5Result, error) {
-	return RunTable5Sched(mode, sched.Sequential())
-}
-
-// RunTable5Sched is RunTable5 with the scenarios analyzed concurrently
-// under sopts. Scoring and union accumulation stay in scenario order,
-// so the result is identical for any worker count.
-func RunTable5Sched(mode taint.Mode, sopts sched.Options) (*Table5Result, error) {
-	return RunTable5Comps(corpus.Components(), mode, sopts)
-}
-
-// RunTable5Comps is RunTable5Sched over a caller-supplied component
-// map, letting callers share (and inspect) the per-component taint
-// cache across runs. The result is identical to a fresh map.
-func RunTable5Comps(comps map[string]*core.Component, mode taint.Mode, sopts sched.Options) (*Table5Result, error) {
-	return RunTable5Opts(comps, core.Options{Mode: mode}, sopts)
-}
-
-// RunTable5Opts is RunTable5Comps with full analysis options, so
-// callers can attach the persistent extraction store (Options.Store) —
-// a warm store answers the whole table without running the taint
-// engine. The rendered result is byte-identical to a storeless run.
+// RunTable5Opts executes the analyzer over every scenario and scores
+// the extractions against the corpus ground truth. Scenarios are
+// analyzed concurrently under sopts; scoring and union accumulation
+// stay in scenario order, so the result is identical for any worker
+// count. Passing the caller's component map lets it share (and
+// inspect) the per-component taint cache across runs, and
+// opts.Store attaches the persistent extraction store — a warm store
+// answers the whole table without running the taint engine. The
+// rendered result is byte-identical to a storeless run.
 func RunTable5Opts(comps map[string]*core.Component, opts core.Options, sopts sched.Options) (*Table5Result, error) {
 	mode := opts.Mode
 	scenarios := corpus.Scenarios()
 	res := &Table5Result{Mode: mode}
-	union := depmodel.NewSet()
 	fpKeys := map[depmodel.Category]map[string]bool{
 		depmodel.SD: {}, depmodel.CPD: {}, depmodel.CCD: {},
 	}
@@ -218,8 +202,8 @@ func RunTable5Opts(comps map[string]*core.Component, opts core.Options, sopts sc
 			fpKeys[d.Kind.Category()][d.Key()] = true
 		}
 		res.Rows = append(res.Rows, row)
-		union.AddAll(out.Deps.Deps())
 	}
+	union := core.Union(outs)
 	// Paper-style Total Unique: per-category maxima plus the distinct
 	// false positives of that category.
 	tu := Table5Row{Scenario: "Total Unique", Deps: union}
@@ -263,19 +247,6 @@ func (r *Table5Row) cellValue(cat depmodel.Category) CategoryCell {
 	return *r.cell(cat)
 }
 
-// Table5 runs the extraction (intra-procedural, as the paper's
-// prototype) and writes the evaluation table.
-func Table5(w io.Writer) error { return Table5Sched(w, sched.Sequential()) }
-
-// Table5Sched is Table5 with scenario-level parallelism.
-func Table5Sched(w io.Writer, sopts sched.Options) error {
-	res, err := RunTable5Sched(taint.Intra, sopts)
-	if err != nil {
-		return err
-	}
-	return res.Render(w)
-}
-
 // Render writes the result in the paper's layout.
 func (t *Table5Result) Render(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -305,30 +276,18 @@ func (t *Table5Result) Render(w io.Writer) error {
 	return nil
 }
 
-// All writes every table in order, with headers.
-func All(w io.Writer) error { return AllSched(w, sched.Sequential()) }
-
-// AllSched is All with the Table-5 extraction parallelized under
-// sopts; the rendered output is identical for any worker count.
-func AllSched(w io.Writer, sopts sched.Options) error {
-	return allWith(w, func(w io.Writer) error { return Table5Sched(w, sopts) })
-}
-
-// AllOpts is AllSched with a caller-supplied component map and full
-// analysis options for the Table-5 extraction, so the persistent store
-// (Options.Store) can warm-start it. Output is byte-identical to
-// AllSched.
+// AllOpts writes every paper table in order, with headers. The
+// Table-5 extraction runs over comps with the given analysis options
+// (opts.Store warm-starts it) and is parallelized under sopts; the
+// rendered output is identical for any worker count.
 func AllOpts(w io.Writer, comps map[string]*core.Component, opts core.Options, sopts sched.Options) error {
-	return allWith(w, func(w io.Writer) error {
+	table5 := func(w io.Writer) error {
 		res, err := RunTable5Opts(comps, opts, sopts)
 		if err != nil {
 			return err
 		}
 		return res.Render(w)
-	})
-}
-
-func allWith(w io.Writer, table5 func(io.Writer) error) error {
+	}
 	sections := []struct {
 		title string
 		fn    func(io.Writer) error
@@ -349,42 +308,23 @@ func allWith(w io.Writer, table5 func(io.Writer) error) error {
 	return nil
 }
 
-// Table6 writes the ConCrashCk crash/fault robustness table: the
+// Table6Opts writes the ConCrashCk crash/fault robustness table: the
 // built-in dependency-violation scenarios swept across enumerated
-// fault points of the resize stage. It is not part of All — the sweep
-// runs hundreds of full pipeline trials — and is reached via
-// fsdep-report -table 6.
-func Table6(w io.Writer) error { return Table6Sched(w, sched.Sequential()) }
-
-// Table6Sched is Table6 with the sweep parallelized under sopts; the
-// rendered output is identical for any worker count.
-func Table6Sched(w io.Writer, sopts sched.Options) error {
-	return Table6Comps(w, corpus.Components(), sopts)
-}
-
-// Table6Comps is Table6Sched over a caller-supplied component map: the
-// extraction that selects the sweep scenarios runs against comps, so a
-// caller that has already analyzed them (e.g. for Table 5) hits the
-// per-component taint cache instead of re-running the fixpoint. Sweep
-// scenarios are selected by ScenariosFor from the extracted dependency
-// union — only violations the analyzer actually extracted (plus the
-// controls) are swept.
-func Table6Comps(w io.Writer, comps map[string]*core.Component, sopts sched.Options) error {
-	return Table6Opts(w, comps, core.Options{}, sopts)
-}
-
-// Table6Opts is Table6Comps with full analysis options, so the
-// scenario-selecting extraction can use the persistent store.
+// fault points of the resize stage, parallelized under sopts (the
+// rendered output is identical for any worker count). It is not part
+// of AllOpts — the sweep runs hundreds of full pipeline trials — and
+// is reached via fsdep-report -table 6. Sweep scenarios are selected
+// by ScenariosFor from the dependency union extracted over comps with
+// opts, so only violations the analyzer actually extracted (plus the
+// controls) are swept; a caller that has already analyzed comps (e.g.
+// for Table 5) hits the per-component taint cache instead of
+// re-running the fixpoint.
 func Table6Opts(w io.Writer, comps map[string]*core.Component, opts core.Options, sopts sched.Options) error {
 	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), opts, sopts)
 	if err != nil {
 		return err
 	}
-	union := depmodel.NewSet()
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
-	rep, err := concrashck.SweepParallel(concrashck.ScenariosFor(union), concrashck.Options{}, sopts)
+	rep, err := concrashck.SweepParallel(concrashck.ScenariosFor(core.Union(outs)), concrashck.Options{}, sopts)
 	if err != nil {
 		return err
 	}

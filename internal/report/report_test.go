@@ -11,11 +11,29 @@ import (
 	"fsdep/internal/taint"
 )
 
-func TestTable5MatchesPaper(t *testing.T) {
-	res, err := RunTable5(taint.Intra)
+// runTable5 is a fresh, storeless, sequential Table-5 run.
+func runTable5(t *testing.T, mode taint.Mode) *Table5Result {
+	t.Helper()
+	res, err := RunTable5Opts(corpus.Components(), core.Options{Mode: mode}, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// renderAll renders every paper table from a fresh, storeless,
+// sequential run.
+func renderAll(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := AllOpts(&buf, corpus.Components(), core.Options{Mode: taint.Intra}, sched.Sequential()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestTable5MatchesPaper(t *testing.T) {
+	res := runTable5(t, taint.Intra)
 	type cells struct{ sd, sdFP, cpd, cpdFP, ccd, ccdFP int }
 	want := map[string]cells{
 		"mke2fs-mount-ext4":                  {31, 0, 24, 1, 0, 0},
@@ -53,14 +71,8 @@ func TestTable5MatchesPaper(t *testing.T) {
 }
 
 func TestTable5Deterministic(t *testing.T) {
-	a, err := RunTable5(taint.Intra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTable5(taint.Intra)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runTable5(t, taint.Intra)
+	b := runTable5(t, taint.Intra)
 	var bufA, bufB bytes.Buffer
 	if err := a.Render(&bufA); err != nil {
 		t.Fatal(err)
@@ -77,14 +89,8 @@ func TestInterProceduralExtractsMore(t *testing.T) {
 	// The paper expects more dependencies, especially CCD, once
 	// inter-procedural analysis lands (§4.3, §6). The extension must
 	// never extract fewer.
-	intra, err := RunTable5(taint.Intra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter, err := RunTable5(taint.Inter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	intra := runTable5(t, taint.Intra)
+	inter := runTable5(t, taint.Inter)
 	if inter.Union.Deps.Len() < intra.Union.Deps.Len() {
 		t.Errorf("inter-procedural union %d < intra %d",
 			inter.Union.Deps.Len(), intra.Union.Deps.Len())
@@ -105,19 +111,16 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestAllTablesRender(t *testing.T) {
-	var buf bytes.Buffer
-	if err := All(&buf); err != nil {
-		t.Fatal(err)
-	}
+	out := string(renderAll(t))
 	for _, want := range []string{"Table 1", "Table 2", "Table 3", "Table 4", "Table 5",
 		"mke2fs", "xfstest", "Total Unique"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
 	}
 }
 
-func TestTable6CompsReusesTaintCache(t *testing.T) {
+func TestTable6SharedCompsReusesTaintCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crash/fault sweep")
 	}
@@ -125,12 +128,12 @@ func TestTable6CompsReusesTaintCache(t *testing.T) {
 	// served entirely from the taint cache Table 5 populated.
 	comps := corpus.Components()
 	sopts := sched.Options{Workers: 4}
-	if _, err := RunTable5Comps(comps, taint.Intra, sopts); err != nil {
+	if _, err := RunTable5Opts(comps, core.Options{Mode: taint.Intra}, sopts); err != nil {
 		t.Fatal(err)
 	}
 	before := core.TotalCacheStats(comps)
 	var viaShared bytes.Buffer
-	if err := Table6Comps(&viaShared, comps, sopts); err != nil {
+	if err := Table6Opts(&viaShared, comps, core.Options{}, sopts); err != nil {
 		t.Fatal(err)
 	}
 	after := core.TotalCacheStats(comps)
@@ -146,7 +149,7 @@ func TestTable6CompsReusesTaintCache(t *testing.T) {
 	// Extraction-driven scenario selection must not change the table:
 	// every catalog dependency is extracted by the corpus run.
 	var viaFresh bytes.Buffer
-	if err := Table6Sched(&viaFresh, sopts); err != nil {
+	if err := Table6Opts(&viaFresh, corpus.Components(), core.Options{}, sopts); err != nil {
 		t.Fatal(err)
 	}
 	if viaShared.String() != viaFresh.String() {

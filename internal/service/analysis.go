@@ -135,11 +135,7 @@ func (a *Analysis) Union() (*depmodel.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	union := depmodel.NewSet()
-	for _, res := range results {
-		union.AddAll(res.Deps.Deps())
-	}
-	return union, nil
+	return core.Union(results), nil
 }
 
 // Scenarios lists the session's scenarios in order.
@@ -225,11 +221,7 @@ func (a *Analysis) Violations() (*conhandleck.Report, error) {
 	if a.vioRep != nil && a.vioGen == gen {
 		return a.vioRep, nil
 	}
-	union := depmodel.NewSet()
-	for _, res := range results {
-		union.AddAll(res.Deps.Deps())
-	}
-	rep := conhandleck.RunParallel(union, a.sopts)
+	rep := conhandleck.RunParallel(core.Union(results), a.sopts)
 	a.vioRep, a.vioGen = rep, gen
 	return rep, nil
 }

@@ -69,7 +69,7 @@ func chaosClientConfig() remote.Config {
 // whose remote is the given client, returning the rendered results.
 func analyzeVia(t *testing.T, client *remote.Client) string {
 	t.Helper()
-	store, err := depstore.OpenTiered("", client)
+	store, err := depstore.OpenWith(depstore.Options{Remote: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestChaosBreakerRecoveryByteIdentical(t *testing.T) {
 	for i := uint64(4); i <= 15; i++ {
 		failWindow = append(failWindow, i)
 	}
-	store, err := depstore.Open(t.TempDir())
+	store, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,13 +348,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			errorJSON(w, err)
 			return
 		}
-		union := depmodel.NewSet()
-		for _, res := range run.Results {
-			union.AddAll(res.Deps.Deps())
-		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"mode": "degraded", "scenarios": len(run.Results),
-			"extracted": union.Len(), "quarantined": len(run.Degradations),
+			"extracted": core.Union(run.Results).Len(), "quarantined": len(run.Degradations),
 		})
 		return
 	}

@@ -21,7 +21,7 @@ import (
 // httptest server over the full route table.
 func newServerT(t *testing.T) (*Analysis, *depstore.Store, *httptest.Server) {
 	t.Helper()
-	store, err := depstore.Open(t.TempDir())
+	store, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRemoteTierWarmStart(t *testing.T) {
 	_, daemonStore, ts := newServerT(t)
 
 	runClient := func() (string, core.CacheStats, depstore.StoreStats) {
-		store, err := depstore.OpenTiered("", remote.New(ts.URL))
+		store, err := depstore.OpenWith(depstore.Options{Remote: remote.New(ts.URL)})
 		if err != nil {
 			t.Fatal(err)
 		}

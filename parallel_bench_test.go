@@ -35,7 +35,7 @@ func benchmarkExtraction(b *testing.B, workers int) {
 			}
 		}
 		b.StartTimer()
-		res, err := report.RunTable5Comps(comps, taint.Intra, opts)
+		res, err := report.RunTable5Opts(comps, core.Options{Mode: taint.Intra}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,16 +301,12 @@ func BenchmarkIncrementalOneComponent(b *testing.B) {
 // with: run all Table-5 scenarios and union the dependency sets.
 func conHandleCkUnion(b *testing.B, comps map[string]*core.Component) *depmodel.Set {
 	b.Helper()
-	union := depmodel.NewSet()
 	outs, err := core.AnalyzeAll(comps, corpus.Scenarios(), core.Options{},
 		sched.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
-	return union
+	return core.Union(outs)
 }
 
 // BenchmarkConHandleCkExtractColdVsWarm measures the memo layer's

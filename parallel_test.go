@@ -81,15 +81,21 @@ func TestAnalyzeCorpusRepeatable(t *testing.T) {
 	}
 }
 
-// TestRunTable5SchedParity: the rendered evaluation table must not
+// TestTable5WorkerParity: the rendered evaluation table must not
 // depend on the worker count.
-func TestRunTable5SchedParity(t *testing.T) {
+func TestTable5WorkerParity(t *testing.T) {
 	var seq, par bytes.Buffer
-	if err := report.Table5Sched(&seq, sched.Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Table5Sched(&par, sched.Options{Workers: 8}); err != nil {
-		t.Fatal(err)
+	for _, run := range []struct {
+		w       *bytes.Buffer
+		workers int
+	}{{&seq, 1}, {&par, 8}} {
+		res, err := report.RunTable5Opts(corpus.Components(), core.Options{Mode: taint.Intra}, sched.Options{Workers: run.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Render(run.w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if seq.String() != par.String() {
 		t.Fatalf("Table 5 differs:\n%s\n---\n%s", seq.String(), par.String())
@@ -100,16 +106,13 @@ func TestRunTable5SchedParity(t *testing.T) {
 // identical report for any worker count, including the single
 // Figure-1 silent corruption.
 func TestConHandleCkParallelParity(t *testing.T) {
-	union := depmodel.NewSet()
 	outs, err := core.AnalyzeAll(corpus.Components(), corpus.Scenarios(), core.Options{},
 		sched.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
-	seq := conhandleck.Run(union)
+	union := core.Union(outs)
+	seq := conhandleck.RunParallel(union, sched.Sequential())
 	par := conhandleck.RunParallel(union, sched.Options{Workers: 8})
 	if !reflect.DeepEqual(seq.Trials, par.Trials) {
 		t.Fatalf("trials differ:\nseq: %+v\npar: %+v", seq.Trials, par.Trials)
@@ -125,21 +128,18 @@ func TestConHandleCkParallelParity(t *testing.T) {
 // TestConBugCkParallelParity: pipeline execution and coverage
 // accounting must not depend on the worker count.
 func TestConBugCkParallelParity(t *testing.T) {
-	union := depmodel.NewSet()
 	outs, err := core.AnalyzeAll(corpus.Components(), corpus.Scenarios(), core.Options{},
 		sched.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range outs {
-		union.AddAll(res.Deps.Deps())
-	}
+	union := core.Union(outs)
 	plan := conbugck.NewGenerator(union, 42).Plan(12)
 	planAgain := conbugck.NewGenerator(union, 42).Plan(12)
 	if !reflect.DeepEqual(plan, planAgain) {
 		t.Fatal("generator plans are not reproducible for the same seed")
 	}
-	seq := conbugck.Execute(plan)
+	seq := conbugck.ExecuteParallel(plan, sched.Sequential())
 	par := conbugck.ExecuteParallel(plan, sched.Options{Workers: 8})
 	if seq.Shallow != par.Shallow || seq.Deep != par.Deep {
 		t.Fatalf("tallies differ: seq %d/%d, par %d/%d", seq.Shallow, seq.Deep, par.Shallow, par.Deep)

@@ -1,6 +1,6 @@
 // BenchmarkRemoteWarmStart measures the cost a warm-start client pays
 // to pull an already-computed record set out of a daemon, batch
-// protocol versus the per-record fallback a pre-batch daemon forces.
+// protocol versus the per-record fallback a failed batch forces.
 // The server injects a fixed per-request latency so the benchmark
 // models a real network hop instead of loopback syscall cost: with N
 // records the per-record path pays ~N round trips of it, the batch
@@ -33,7 +33,7 @@ const warmStartRecords = 24
 const warmStartLatency = 500 * time.Microsecond
 
 func warmStartFixture(b *testing.B) (*depstore.Store, []depstore.Ref) {
-	store, err := depstore.Open(b.TempDir())
+	store, err := depstore.OpenWith(depstore.Options{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,9 +62,9 @@ func BenchmarkRemoteWarmStart(b *testing.B) {
 	}
 	modern := httptest.NewServer(slow(inner))
 	defer modern.Close()
-	// A daemon built before the batch endpoints: same store, same
-	// per-record surface, 404 on the bulk routes — the client's silent
-	// fallback turns this into one round trip per record.
+	// A daemon whose bulk routes 404: same store, same per-record
+	// surface — the client's silent fallback turns this into one round
+	// trip per record.
 	legacy := httptest.NewServer(slow(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/store/batch-") {
 			http.NotFound(w, r)
