@@ -107,7 +107,6 @@ func main() {
 	if err != nil {
 		cliutil.Failf("fsdepd", err)
 	}
-	defer analysis.Close()
 
 	if *warm {
 		start := time.Now()

@@ -185,8 +185,6 @@ func PrintCacheStats(tool string, comps map[string]*core.Component, store *depst
 	cs := core.TotalCacheStats(comps)
 	fmt.Fprintf(os.Stderr, "%s: taint cache: %d hits, %d misses; engine runs: %d\n",
 		tool, cs.Hits, cs.Misses, cs.EngineRuns)
-	fmt.Fprintf(os.Stderr, "%s: summary table: %d hits, %d misses\n",
-		tool, cs.SummaryHits, cs.SummaryMisses)
 	if store != nil {
 		st := store.Stats()
 		fmt.Fprintf(os.Stderr, "%s: disk store: %d hits (%d hot), %d misses, %d invalidations, %d writes, %d write-back errors\n",

@@ -90,11 +90,6 @@ type Component struct {
 	// persistent store (store.go).
 	hashOnce    sync.Once
 	contentHash string
-
-	// summaries is the component's inter-procedural summary table,
-	// shared by every taint run over the compiled program (store.go).
-	sumMu     sync.Mutex
-	summaries *taint.Summaries
 }
 
 // Compile parses and lowers the component. Idempotent and
@@ -165,10 +160,10 @@ type Options struct {
 	// the degraded path.
 	MaxIter int
 	// Store, when non-nil, attaches the persistent extraction cache:
-	// converged taint results, summary tables, and whole-scenario
-	// dependency sets are loaded from and saved to it, keyed by
-	// component content hashes so edited sources never reuse stale
-	// records. Nil runs fully in-process, exactly as before.
+	// converged taint results and whole-scenario dependency sets are
+	// loaded from and saved to it, keyed by component content hashes so
+	// edited sources never reuse stale records. Nil runs fully
+	// in-process, exactly as before.
 	Store *depstore.Store
 }
 
@@ -329,7 +324,7 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 			return nil, err
 		}
 	}
-	return runScenarios(comps, scenarios, opts, sopts, nil, unique)
+	return runScenarios(comps, scenarios, opts, sopts, nil)
 }
 
 // runScenarios is the one run driver behind AnalyzeAll,
@@ -339,10 +334,9 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 // for nothing. A failed batch falls back to per-record fetches with
 // byte-identical results. It then analyzes the scenarios under sopts,
 // in scenario order (quarantined selects degraded mode exactly as in
-// analyzeScenario), flushes the summary tables of flush (nil leaves
-// that to the caller, as Session does until Close), and pushes the
-// run's deferred record uploads in bulk.
-func runScenarios(comps map[string]*Component, scenarios []Scenario, opts Options, sopts sched.Options, quarantined map[string]error, flush []*Component) ([]*Result, error) {
+// analyzeScenario), and pushes the run's deferred record uploads in
+// bulk.
+func runScenarios(comps map[string]*Component, scenarios []Scenario, opts Options, sopts sched.Options, quarantined map[string]error) ([]*Result, error) {
 	if opts.Store != nil && opts.Store.HasRemote() {
 		opts.Store.Prefetch(PrefetchRefs(comps, scenarios, opts))
 	}
@@ -352,9 +346,7 @@ func runScenarios(comps map[string]*Component, scenarios []Scenario, opts Option
 	if err != nil {
 		return nil, err
 	}
-	FlushSummaries(opts.Store, flush)
 	if opts.Store != nil {
-		// After the summary flush, which enqueues the last uploads.
 		opts.Store.FlushRemote()
 	}
 	return res, nil

@@ -28,10 +28,10 @@ import (
 // answered by the in-process memo; a "hit" reused a finished (or
 // in-flight) run. The remaining counters split the misses by layer:
 // DiskHits/DiskMisses count persistent-store record outcomes when a
-// store is attached, EngineRuns counts actual taint fixpoint
-// executions (a miss neither layer could answer), and
-// SummaryHits/SummaryMisses aggregate the per-function inter-procedural
-// summary table consulted inside those engine runs.
+// store is attached, and EngineRuns counts actual taint fixpoint
+// executions (a miss neither layer could answer). SummaryHits and
+// SummaryMisses are retired: the per-function summary table they
+// counted is gone, so they are always 0.
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
@@ -126,7 +126,6 @@ func (c *Component) analyzeTaint(funcs []string, opts Options) (*taint.Result, [
 			Functions:  funcs,
 			Sanitizers: opts.Sanitizers,
 			MaxIter:    opts.MaxIter,
-			Summaries:  c.summaryTable(opts.Store),
 		})
 		if opts.Store != nil {
 			// Best-effort: a failed write leaves the next run cold.
@@ -143,19 +142,13 @@ func (c *Component) analyzeTaint(funcs []string, opts Options) (*taint.Result, [
 
 // TaintCacheStats reports the component's layered cache counters.
 func (c *Component) TaintCacheStats() CacheStats {
-	cs := CacheStats{
+	return CacheStats{
 		Hits:       atomic.LoadUint64(&c.cacheHits),
 		Misses:     atomic.LoadUint64(&c.cacheMisses),
 		DiskHits:   atomic.LoadUint64(&c.diskHits),
 		DiskMisses: atomic.LoadUint64(&c.diskMisses),
 		EngineRuns: atomic.LoadUint64(&c.engineRuns),
 	}
-	if tab := c.summarySnapshot(); tab != nil {
-		st := tab.Stats()
-		cs.SummaryHits = st.Hits
-		cs.SummaryMisses = st.Misses
-	}
-	return cs
 }
 
 // TotalCacheStats sums the layered cache counters over an ecosystem.
@@ -168,8 +161,6 @@ func TotalCacheStats(comps map[string]*Component) CacheStats {
 		total.DiskHits += cs.DiskHits
 		total.DiskMisses += cs.DiskMisses
 		total.EngineRuns += cs.EngineRuns
-		total.SummaryHits += cs.SummaryHits
-		total.SummaryMisses += cs.SummaryMisses
 	}
 	return total
 }

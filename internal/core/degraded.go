@@ -113,7 +113,7 @@ func AnalyzeAllDegraded(comps map[string]*Component, scenarios []Scenario, opts 
 	}
 	// Scenario records ride along unused in the prefetch — degraded
 	// runs skip that fast path — a few spare bytes for one round trip.
-	results, err := runScenarios(comps, scenarios, opts, sopts, quarantined, unique)
+	results, err := runScenarios(comps, scenarios, opts, sopts, quarantined)
 	if err != nil {
 		return nil, err
 	}

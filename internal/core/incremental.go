@@ -106,8 +106,7 @@ func (s *Session) Run() ([]*Result, error) {
 			staleScs = append(staleScs, s.scenarios[i])
 		}
 	}
-	// Summaries flush on Close, not per Run.
-	outs, err := runScenarios(s.comps, staleScs, s.opts, s.sopts, nil, nil)
+	outs, err := runScenarios(s.comps, staleScs, s.opts, s.sopts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,21 +141,6 @@ func (s *Session) Invalidate(comp *Component) Invalidation {
 		}
 	}
 	return inv
-}
-
-// Close flushes accumulated summary tables to the session's store, if
-// any. Safe to call on storeless sessions.
-func (s *Session) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.opts.Store == nil {
-		return
-	}
-	// NewSession validated every reference, and Invalidate only swaps
-	// components, so this cannot fail.
-	unique, _ := uniqueComponents(s.comps, s.scenarios)
-	FlushSummaries(s.opts.Store, unique)
-	s.opts.Store.FlushRemote()
 }
 
 // dependentsLocked computes the transitive CCD dependents of name from

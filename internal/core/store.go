@@ -1,16 +1,13 @@
 // Persistent-store integration: content addressing and the glue
 // between the in-process caches and internal/depstore.
 //
-// The store adds two layers under the taint memo of cache.go and one
+// The store adds one layer under the taint memo of cache.go and one
 // above it:
 //
 //   - taint records (cache.go): a component's converged taint result,
 //     keyed by its content hash plus the canonical taint signature, so
 //     a warm process skips the fixpoint but still compiles (the result
 //     rehydrates branch-site expressions against the compiled IR);
-//   - summary records: the component's inter-procedural summary table,
-//     imported before the first engine run so even cold signatures
-//     replay per-function visits instead of re-iterating them;
 //   - scenario records (analyzer.go): a whole scenario's extracted
 //     dependency set, keyed by every referenced component's content
 //     hash plus the scenario selection and options — a hit answers the
@@ -27,7 +24,6 @@ import (
 	"strings"
 
 	"fsdep/internal/depstore"
-	"fsdep/internal/taint"
 )
 
 // ContentHash returns the component's content address: a deterministic
@@ -46,63 +42,14 @@ func (c *Component) ContentHash() string {
 	return c.contentHash
 }
 
-// summaryTable returns the component's inter-procedural summary table,
-// creating it on first use and importing any persisted records when a
-// store is present. The table belongs to the compiled program (its
-// keys embed program locations), which is why it lives on the
-// Component next to the taint memo.
-func (c *Component) summaryTable(store *depstore.Store) *taint.Summaries {
-	c.sumMu.Lock()
-	defer c.sumMu.Unlock()
-	if c.summaries == nil {
-		c.summaries = taint.NewSummaries()
-		if store != nil {
-			if recs, ok := depstore.LoadSummaries(store, summariesKey(c)); ok {
-				c.summaries.Import(recs)
-			}
-		}
-	}
-	return c.summaries
-}
-
-// summarySnapshot returns the table if one exists, without creating
-// it (stats must not perturb the import-on-first-use path).
-func (c *Component) summarySnapshot() *taint.Summaries {
-	c.sumMu.Lock()
-	defer c.sumMu.Unlock()
-	return c.summaries
-}
-
-func summariesKey(c *Component) string {
-	return depstore.Key("summaries", c.ContentHash())
-}
-
-// FlushSummaries persists every component's summary table that gained
-// entries since its last flush. AnalyzeAll and AnalyzeAllDegraded call
-// it after their runs; a Session flushes on Close. Nil store or empty
-// tables are no-ops, and write failures are swallowed — the store is a
-// cache.
-func FlushSummaries(store *depstore.Store, comps []*Component) {
-	if store == nil {
-		return
-	}
-	for _, c := range comps {
-		tab := c.summarySnapshot()
-		if tab == nil || tab.Added() == 0 {
-			continue
-		}
-		_ = depstore.SaveSummaries(store, summariesKey(c), tab.Export())
-	}
-}
-
 // PrefetchRefs enumerates every store record a run over the given
-// scenarios could read — whole-scenario extractions, component summary
-// tables, and memoized taint results — deduplicated, in deterministic
-// scenario order. All keys derive from content hashes and options
-// alone, no compilation, so a warm start can hand the full manifest to
-// Store.Prefetch and pull the corpus in one bulk round trip before
-// analysis begins. Scenarios referencing unknown components contribute
-// what they can; the cold path reports the error.
+// scenarios could read — whole-scenario extractions and memoized taint
+// results — deduplicated, in deterministic scenario order. All keys
+// derive from content hashes and options alone, no compilation, so a
+// warm start can hand the full manifest to Store.Prefetch and pull the
+// corpus in one bulk round trip before analysis begins. Scenarios
+// referencing unknown components contribute what they can; the cold
+// path reports the error.
 func PrefetchRefs(comps map[string]*Component, scenarios []Scenario, opts Options) []depstore.Ref {
 	var refs []depstore.Ref
 	seen := make(map[depstore.Ref]bool)
@@ -122,7 +69,6 @@ func PrefetchRefs(comps map[string]*Component, scenarios []Scenario, opts Option
 			if !ok {
 				continue
 			}
-			add(depstore.KindSummaries, summariesKey(comp))
 			if funcs := sc.Funcs[name]; len(funcs) > 0 {
 				add(depstore.KindTaint, depstore.Key(comp.ContentHash(),
 					taintSig(opts.Mode, opts.MaxIter, opts.Sanitizers, funcs)))

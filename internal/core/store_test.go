@@ -181,35 +181,64 @@ func TestDiskWarmTaintLayer(t *testing.T) {
 	}
 }
 
-// TestDiskWarmSummaryLayer drops everything but the summary records:
-// the engine re-runs, but its per-function visits replay from the
-// imported tables.
-func TestDiskWarmSummaryLayer(t *testing.T) {
+// TestLeftoverSummaryRecordsIgnored: stores written before the
+// per-function summary table was removed may still hold "summaries"
+// records. With the scenario and taint records gone, a warm run must
+// re-run the engine, match the cold output, and read nothing — the
+// leftover included — while Scrub still validates it and Evict ages it
+// out.
+func TestLeftoverSummaryRecordsIgnored(t *testing.T) {
 	scenarios := storeScenarios()
 	dir := t.TempDir()
 	cold := storeFixture()
-	coldRes, err := AnalyzeAll(cold, scenarios, Options{Store: openStoreT(t, dir)}, sched.Sequential())
+	coldStore := openStoreT(t, dir)
+	coldRes, err := AnalyzeAll(cold, scenarios, Options{Store: coldStore}, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderDeps(t, coldRes)
+	comp := cold["writer"]
+	if err := coldStore.Put("summaries", depstore.Key("summaries", comp.ContentHash()), []byte(`[]`)); err != nil {
+		t.Fatal(err)
+	}
 	dropRecords(t, dir, depstore.KindScenario)
 	dropRecords(t, dir, depstore.KindTaint)
 
 	warm := storeFixture()
-	warmRes, err := AnalyzeAll(warm, scenarios, Options{Store: openStoreT(t, dir)}, sched.Sequential())
+	warmStore := openStoreT(t, dir)
+	warmRes, err := AnalyzeAll(warm, scenarios, Options{Store: warmStore}, sched.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := renderDeps(t, warmRes); got != want {
-		t.Errorf("summary-layer warm run differs:\nwant %s\ngot  %s", want, got)
+		t.Errorf("warm run over a leftover summary record differs:\nwant %s\ngot  %s", want, got)
 	}
-	cs := TotalCacheStats(warm)
-	if cs.EngineRuns == 0 {
-		t.Error("engine should re-run with only summary records on disk")
+	if cs := TotalCacheStats(warm); cs.EngineRuns == 0 {
+		t.Errorf("engine should re-run with only a summary record on disk: %+v", cs)
 	}
-	if cs.SummaryHits == 0 {
-		t.Errorf("imported summaries were never hit: %+v", cs)
+	if st := warmStore.Stats(); st.Hits != 0 {
+		t.Errorf("warm run read %d records; the leftover summary record must never be read", st.Hits)
+	}
+
+	leftover, err := depstore.ListRecords(dir, "summaries")
+	if err != nil || len(leftover) != 1 {
+		t.Fatalf("leftover summary records = %v (%v), want 1", leftover, err)
+	}
+	rep, err := openStoreT(t, dir).Scrub(depstore.ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bad() != 0 || rep.Removed != 0 || rep.Valid != rep.Scanned {
+		t.Errorf("scrub refused a record: %+v", rep)
+	}
+	if _, err := os.Stat(leftover[0]); err != nil {
+		t.Errorf("scrub removed the valid leftover: %v", err)
+	}
+	if _, err := openStoreT(t, dir).Evict(0); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := depstore.ListRecords(dir, "summaries"); len(left) != 0 {
+		t.Errorf("Evict(0) left summary records: %v", left)
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 
 // DefaultHotRecords is the hot-tier capacity the CLIs and the daemon
 // use (Options.HotRecords). It comfortably covers a whole corpus's
-// record set (scenario + taint + summary records) while bounding the
-// daemon's resident cache to tens of megabytes in the worst case.
+// record set (scenario + taint records) while bounding the daemon's
+// resident cache to tens of megabytes in the worst case.
 const DefaultHotRecords = 512
 
 // hotTier is the LRU. All methods are safe for concurrent use.

@@ -1,4 +1,4 @@
-// Record schemas and (de)hydration for the three persisted layers.
+// Record schemas and (de)hydration for the two persisted layers.
 //
 // Taint results serialize everything the derivation passes consume
 // except Site.Expr, which is an AST node and not portable; on load the
@@ -169,33 +169,4 @@ func LoadScenario(s *Store, key string) (*depmodel.Set, bool) {
 		return nil, false
 	}
 	return set, true
-}
-
-// SaveSummaries persists a component's exported summary table.
-func SaveSummaries(s *Store, key string, recs []taint.SummaryRecord) error {
-	if s == nil || len(recs) == 0 {
-		return nil
-	}
-	blob, err := json.Marshal(recs)
-	if err != nil {
-		return err
-	}
-	return s.Put(KindSummaries, key, blob)
-}
-
-// LoadSummaries rehydrates a component's summary records.
-func LoadSummaries(s *Store, key string) ([]taint.SummaryRecord, bool) {
-	if s == nil {
-		return nil, false
-	}
-	payload, ok := s.Get(KindSummaries, key)
-	if !ok {
-		return nil, false
-	}
-	var recs []taint.SummaryRecord
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		s.noteInvalid()
-		return nil, false
-	}
-	return recs, true
 }

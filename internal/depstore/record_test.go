@@ -183,34 +183,3 @@ func TestScenarioRecordRefusesInvalidDeps(t *testing.T) {
 		t.Error("refused scenario not counted as invalidation")
 	}
 }
-
-func TestSummariesRecordRoundTrip(t *testing.T) {
-	p := compileT(t, recordSrc)
-	tab := taint.NewSummaries()
-	taint.Run(p, []taint.Seed{
-		{Param: "conf", Func: "writer", Var: "conf"},
-		{Param: "other", Func: "reader", Var: "other"},
-	}, taint.Options{Summaries: tab})
-	recs := tab.Export()
-	if len(recs) == 0 {
-		t.Fatal("no summaries recorded")
-	}
-	s := openT(t)
-	key := Key("summaries")
-	if err := SaveSummaries(s, key, recs); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, ok := LoadSummaries(s, key)
-	if !ok {
-		t.Fatal("load missed just-saved summaries")
-	}
-	want, _ := json.Marshal(recs)
-	have, _ := json.Marshal(got)
-	if string(want) != string(have) {
-		t.Errorf("summaries differ after round trip:\nwant %s\ngot  %s", want, have)
-	}
-	fresh := taint.NewSummaries()
-	if n := fresh.Import(got); n != len(recs) {
-		t.Errorf("imported %d of %d", n, len(recs))
-	}
-}

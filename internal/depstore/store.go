@@ -1,8 +1,8 @@
 // Package depstore is the persistent, content-addressed extraction
-// cache: it serializes per-component taint results, inter-procedural
-// summary tables, and whole-scenario dependency extractions to an
-// on-disk directory so repeated fsdep invocations over unchanged
-// sources warm-start instead of re-analyzing the world.
+// cache: it serializes per-component taint results and whole-scenario
+// dependency extractions to an on-disk directory so repeated fsdep
+// invocations over unchanged sources warm-start instead of re-analyzing
+// the world.
 //
 // Records are addressed by a caller-derived key — a sha256 over the
 // component's content hash joined with the canonical analysis
@@ -53,7 +53,10 @@ const (
 	KindTaint = "taint"
 	// KindScenario is a whole-scenario dependency extraction.
 	KindScenario = "scenario"
-	// KindSummaries is a component's inter-procedural summary table.
+	// KindSummaries is retired: it named the per-function summary
+	// tables the taint engine no longer keeps. Nothing writes or reads
+	// it; records of this kind left in an existing store are never
+	// read, Scrub still validates them, and Evict ages them out.
 	KindSummaries = "summaries"
 )
 
@@ -505,8 +508,8 @@ func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
 }
 
 // FlushRemote pushes any pending deferred uploads to the remote tier.
-// Analyses call it at run boundaries (after summaries are flushed);
-// it is a no-op for stores with nothing pending.
+// Analyses call it at the end of every run; it is a no-op for stores
+// with nothing pending.
 func (s *Store) FlushRemote() {
 	br, ok := s.remote.(BatchRemote)
 	if !ok {

@@ -353,7 +353,7 @@ func (fs *Fs) readData(in *Inode) ([]byte, error) {
 		}
 		for b := uint32(0); b < e.Len; b++ {
 			n := len(out)
-			out = out[: n+int(bs)]
+			out = out[:n+int(bs)]
 			if err := fs.dev.ReadAt(out[n:], int64(e.Start+b)*int64(bs)); err != nil {
 				return nil, err
 			}

@@ -256,10 +256,3 @@ func (a *Analysis) StatsSnapshot() Stats {
 	}
 	return st
 }
-
-// Close flushes accumulated summary tables to the store.
-func (a *Analysis) Close() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sess.Close()
-}

@@ -456,13 +456,11 @@ type statsResponse struct {
 	Generation    uint64 `json:"generation"`
 	Ran           bool   `json:"ran"`
 	Taint         struct {
-		Hits          uint64 `json:"hits"`
-		Misses        uint64 `json:"misses"`
-		DiskHits      uint64 `json:"disk_hits"`
-		DiskMisses    uint64 `json:"disk_misses"`
-		EngineRuns    uint64 `json:"engine_runs"`
-		SummaryHits   uint64 `json:"summary_hits"`
-		SummaryMisses uint64 `json:"summary_misses"`
+		Hits       uint64 `json:"hits"`
+		Misses     uint64 `json:"misses"`
+		DiskHits   uint64 `json:"disk_hits"`
+		DiskMisses uint64 `json:"disk_misses"`
+		EngineRuns uint64 `json:"engine_runs"`
 	} `json:"taint"`
 	Store *struct {
 		Hits          uint64 `json:"hits"`
@@ -500,8 +498,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Taint.DiskHits = st.Taint.DiskHits
 	resp.Taint.DiskMisses = st.Taint.DiskMisses
 	resp.Taint.EngineRuns = st.Taint.EngineRuns
-	resp.Taint.SummaryHits = st.Taint.SummaryHits
-	resp.Taint.SummaryMisses = st.Taint.SummaryMisses
 	if st.HasStore {
 		resp.Store = &struct {
 			Hits          uint64 `json:"hits"`

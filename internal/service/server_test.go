@@ -208,8 +208,8 @@ func TestStoreEndpoints(t *testing.T) {
 
 	// Malformed references are rejected before touching the store.
 	for _, bad := range []string{
-		"/v1/store/TAINT/" + key, // uppercase kind
-		"/v1/store/taint/short",  // non-hex, too-short key
+		"/v1/store/TAINT/" + key,                      // uppercase kind
+		"/v1/store/taint/short",                       // non-hex, too-short key
 		"/v1/store/taint/" + strings.Repeat("ab", 80), // oversized key
 	} {
 		getJSON(t, ts.URL+bad, http.StatusBadRequest, nil)

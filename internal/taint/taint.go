@@ -124,11 +124,6 @@ type Options struct {
 	// MaxIter bounds fixpoint work (safety valve; 0 = default). The
 	// worklist processes at most MaxIter visits per analyzed function.
 	MaxIter int
-	// Summaries, when non-nil, memoizes per-function visit effects
-	// across runs sharing the table (see summary.go). The table must
-	// belong to the analyzed program: keys embed program location and
-	// canonical names. Nil disables summarization.
-	Summaries *Summaries
 }
 
 // FieldWrite records a tainted store to a canonical metadata field.
@@ -231,10 +226,6 @@ func Run(prog *ir.Program, seeds []Seed, opts Options) *Result {
 	for _, s := range opts.Sanitizers {
 		a.sanitize[s] = true
 	}
-	if opts.Summaries != nil {
-		a.sum = opts.Summaries
-		a.runPrefix = runSigOf(opts, seeds)
-	}
 	a.run()
 	return a.res
 }
@@ -271,12 +262,6 @@ type funcState struct {
 	paramIDs []int
 	infos    []instrInfo
 	inited   bool
-
-	// Summary-table bookkeeping (nil/empty unless Options.Summaries).
-	readCanons  []canonRef         // canonical fields read, sorted by name
-	calleeNames []string           // distinct callees, sorted (Inter)
-	traceLog    []TraceEvent       // trace appends this function produced
-	multiLog    map[string]SeedSet // multi-map contributions produced
 }
 
 // at returns the taint of a location id (empty beyond the slice).
@@ -333,13 +318,6 @@ type analysis struct {
 	dirtyCanons []int
 	dirtyRet    bool
 	dirtyParams []string
-
-	// Summary memoization (nil unless Options.Summaries): sum is the
-	// shared table, runPrefix the run-level key prefix, and cur the
-	// function whose visit is in progress (addTrace logs into it).
-	sum       *Summaries
-	runPrefix string
-	cur       *funcState
 
 	// flowScratch/argScratch are reusable per-instruction SeedSets for
 	// the fixpoint loops. Every consumer (st.union, fieldUnion,
@@ -518,18 +496,6 @@ func (a *analysis) initState(idx int) {
 		}
 		st.infos = append(st.infos, info)
 	})
-	if a.sum != nil {
-		for c := range seenCanon {
-			st.readCanons = append(st.readCanons, canonRef{name: a.canons.keyOf(c), id: c})
-		}
-		sort.Slice(st.readCanons, func(i, j int) bool {
-			return st.readCanons[i].name < st.readCanons[j].name
-		})
-		for c := range seenCallee {
-			st.calleeNames = append(st.calleeNames, c)
-		}
-		sort.Strings(st.calleeNames)
-	}
 }
 
 // argFlowsOf resolves every call expression inside in to its callee
@@ -616,22 +582,6 @@ func (a *analysis) analyzeFunc(idx int) {
 			}
 		}
 	}
-	// Summary table: a previous visit anywhere with the same entry
-	// inputs already converged to this visit's outcome — replay it and
-	// skip the instruction iteration.
-	var sigKey string
-	if a.sum != nil {
-		sigKey = a.inputSig(st)
-		if s := a.sum.lookup(sigKey); s != nil {
-			a.applySummary(st, s)
-			return
-		}
-		a.cur = st
-		defer func() {
-			a.cur = nil
-			a.sum.record(sigKey, a.captureSummary(st))
-		}()
-	}
 	for iter := 0; iter < 64; iter++ {
 		changed := false
 		for ii := range st.infos {
@@ -667,14 +617,6 @@ func (a *analysis) analyzeFunc(idx int) {
 						mcur := a.res.Multi[mk]
 						mcur.Union(cur)
 						a.res.Multi[mk] = mcur
-						if a.sum != nil {
-							if st.multiLog == nil {
-								st.multiLog = make(map[string]SeedSet)
-							}
-							scur := st.multiLog[mk]
-							scur.Union(cur)
-							st.multiLog[mk] = scur
-						}
 					}
 				}
 				if info.dst.canon >= 0 {
@@ -809,9 +751,6 @@ func (a *analysis) addTrace(seed int, pos minicc.Pos) {
 		}
 	}
 	a.res.Traces[seed] = append(tr, pos)
-	if a.cur != nil {
-		a.cur.traceLog = append(a.cur.traceLog, TraceEvent{Seed: seed, Pos: pos})
-	}
 }
 
 // report performs the final collection pass over fn using the fixpoint
