@@ -298,12 +298,12 @@ func (r *Report) RowFor(name string) (Row, bool) {
 // prep is a scenario's precomputed pre-resize state.
 type prep struct {
 	sc        Scenario
-	snapshot  []byte // device image after mkfs + workload + unmount
-	target    uint32 // resize2fs size argument in blocks
-	backupBlk uint32 // backup superblock block for -b escalation (0 = none)
-	writeOps  uint64 // mutating ops the fault-free resize stage performs
-	readOps   uint64 // read ops the fault-free resize stage performs
-	stageErr  string // fault-free stage failure, if any
+	snapshot  *fsim.Image // device image after mkfs + workload + unmount
+	target    uint32      // resize2fs size argument in blocks
+	backupBlk uint32      // backup superblock block for -b escalation (0 = none)
+	writeOps  uint64      // mutating ops the fault-free resize stage performs
+	readOps   uint64      // read ops the fault-free resize stage performs
+	stageErr  string      // fault-free stage failure, if any
 }
 
 // prepare builds the pre-resize snapshot: mkfs with the scenario's
@@ -347,7 +347,7 @@ func prepare(sc Scenario) (*prep, error) {
 	}
 	p := &prep{
 		sc:       sc,
-		snapshot: append([]byte(nil), dev.Bytes()...),
+		snapshot: dev.Snapshot(),
 		target:   fs.SB.BlocksCount + sc.GrowBlocks,
 	}
 	for gi := uint32(1); gi < fs.SB.GroupCount(); gi++ {
@@ -369,10 +369,11 @@ func prepare(sc Scenario) (*prep, error) {
 	return p, nil
 }
 
-// restore clones a snapshot into a pooled device. The arena overwrites
-// the full buffer with the snapshot, so a recycled device replays the
-// trial byte-identically to a fresh allocation.
-func restore(snapshot []byte) *fsim.MemDevice {
+// restore clones a snapshot into a pooled device. The arena clears the
+// pages the previous trial wrote and copies in the snapshot's pages, so
+// a recycled device replays the trial byte-identically to a fresh
+// allocation.
+func restore(snapshot *fsim.Image) *fsim.MemDevice {
 	return fsim.LoadDevice(snapshot)
 }
 

@@ -17,6 +17,7 @@ package fsim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 )
@@ -37,23 +38,73 @@ type Device interface {
 // ErrOutOfRange reports device access beyond the current size.
 var ErrOutOfRange = errors.New("fsim: device access out of range")
 
+// pageShift sets MemDevice's dirty-tracking granularity: 4 KiB pages.
+const pageShift = 12
+
+// pageSize is the MemDevice page size in bytes.
+const pageSize = 1 << pageShift
+
 // MemDevice is an in-memory Device. It is safe for concurrent use.
+//
+// A trial device is megabytes large, but a formatted image touches
+// only a few dozen pages, so MemDevice keeps a dirty bit per 4 KiB
+// page of its backing array. The page invariant: every byte of
+// buf[:cap(buf)] on an unmarked page is zero. WriteAt marks the pages
+// it writes, and every whole-device operation (Reset, Resize, Load,
+// Snapshot) visits only marked pages, so it costs O(pages touched)
+// rather than O(device size).
 type MemDevice struct {
 	mu  sync.RWMutex
 	buf []byte
+	// dirty holds one bit per page of buf[:cap(buf)]; a clear bit
+	// promises the page is all zero. Extra set bits are harmless.
+	dirty []uint64
 	// fixed prevents implicit growth on out-of-range writes.
 	fixed bool
 }
 
 // NewMemDevice returns a zero-filled in-memory device of n bytes.
 func NewMemDevice(n int64) *MemDevice {
-	return &MemDevice{buf: make([]byte, n)}
+	d := &MemDevice{}
+	d.alloc(int(n))
+	return d
 }
 
 // NewFixedMemDevice returns an in-memory device that rejects writes
 // past its end, modelling a real block device.
 func NewFixedMemDevice(n int64) *MemDevice {
-	return &MemDevice{buf: make([]byte, n), fixed: true}
+	d := NewMemDevice(n)
+	d.fixed = true
+	return d
+}
+
+// alloc replaces the backing array with a fresh zeroed one of n bytes.
+func (d *MemDevice) alloc(n int) {
+	d.buf = make([]byte, n)
+	d.dirty = make([]uint64, (n+pageSize*64-1)/(pageSize*64))
+}
+
+// mark sets the dirty bits of the pages overlapping [lo, hi).
+func (d *MemDevice) mark(lo, hi int) {
+	for p := lo >> pageShift; p < (hi+pageSize-1)>>pageShift; p++ {
+		d.dirty[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// eachDirty calls f with the part of each marked page that lies in
+// [lo, hi), in ascending order.
+func eachDirty(dirty []uint64, lo, hi int, f func(lo, hi int)) {
+	if lo >= hi {
+		return
+	}
+	for wi := lo >> pageShift >> 6; wi <= (hi-1)>>pageShift>>6; wi++ {
+		for w := dirty[wi]; w != 0; w &= w - 1 {
+			p := wi<<6 + bits.TrailingZeros64(w)
+			if s, e := max(p<<pageShift, lo), min((p+1)<<pageShift, hi); s < e {
+				f(s, e)
+			}
+		}
+	}
 }
 
 // ReadAt implements Device.
@@ -79,11 +130,10 @@ func (d *MemDevice) WriteAt(p []byte, off int64) error {
 		if d.fixed {
 			return fmt.Errorf("%w: write [%d,%d) of %d", ErrOutOfRange, off, end, len(d.buf))
 		}
-		grown := make([]byte, end)
-		copy(grown, d.buf)
-		d.buf = grown
+		d.grow(int(end))
 	}
 	copy(d.buf[off:], p)
+	d.mark(int(off), int(end))
 	return nil
 }
 
@@ -104,61 +154,114 @@ func (d *MemDevice) Resize(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("%w: negative size %d", ErrOutOfRange, n)
 	}
-	switch {
-	case n <= int64(len(d.buf)):
+	if n <= int64(len(d.buf)) {
 		d.buf = d.buf[:n]
-	case n <= int64(cap(d.buf)):
-		old := len(d.buf)
-		d.buf = d.buf[:n]
-		clear(d.buf[old:])
-	default:
-		grown := make([]byte, n)
-		copy(grown, d.buf)
-		d.buf = grown
+	} else {
+		d.grow(int(n))
 	}
 	return nil
+}
+
+// grow extends the device to n > Size() zero-filled bytes. Within
+// capacity it zeroes only the marked pages of the regrown range; past
+// capacity it copies only the marked pages into the new array.
+func (d *MemDevice) grow(n int) {
+	old := len(d.buf)
+	if n <= cap(d.buf) {
+		d.buf = d.buf[:n]
+		eachDirty(d.dirty, old, n, func(lo, hi int) { clear(d.buf[lo:hi]) })
+		return
+	}
+	buf, dirty := d.buf, d.dirty
+	d.alloc(n)
+	eachDirty(dirty, 0, old, func(lo, hi int) { copy(d.buf[lo:hi], buf[lo:hi]) })
+	copy(d.dirty, dirty)
 }
 
 // Reset makes the device indistinguishable from NewMemDevice(n) while
 // reusing the existing backing array when it is large enough: the
 // device is resized to n bytes and every byte reads zero, including
-// regions regrown from a previous shrink. This is the recycle point of
-// the trial arena (see pool.go).
+// regions regrown from a previous shrink. Only marked pages are
+// cleared. This is the recycle point of the trial arena (see pool.go).
 func (d *MemDevice) Reset(n int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if n < 0 {
 		return fmt.Errorf("%w: negative size %d", ErrOutOfRange, n)
 	}
-	if n > int64(cap(d.buf)) {
-		d.buf = make([]byte, n)
-		return nil
-	}
-	d.buf = d.buf[:n]
-	clear(d.buf)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.reset(int(n))
 	return nil
 }
 
-// Load replaces the device contents with an exact copy of p, reusing
-// the backing array when possible. Equivalent to Reset(len(p)) followed
-// by WriteAt(p, 0), without zeroing bytes that are about to be
-// overwritten anyway.
-func (d *MemDevice) Load(p []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int64(len(p)) > int64(cap(d.buf)) {
-		d.buf = make([]byte, len(p))
-	} else {
-		d.buf = d.buf[:len(p)]
+// reset is Reset with d.mu held.
+func (d *MemDevice) reset(n int) {
+	if n > cap(d.buf) {
+		d.alloc(n)
+		return
 	}
-	copy(d.buf, p)
+	full := d.buf[:cap(d.buf)]
+	eachDirty(d.dirty, 0, len(full), func(lo, hi int) { clear(full[lo:hi]) })
+	clear(d.dirty)
+	d.buf = full[:n]
 }
 
-// Bytes returns the underlying buffer (not a copy). Intended for tests
-// and corruption injection.
-func (d *MemDevice) Bytes() []byte {
+// Image is an immutable, sparse copy of a MemDevice's contents: the
+// device size plus the pages that may hold non-zero bytes. Every byte
+// outside those pages is zero.
+type Image struct {
+	size  int64
+	pages []int  // ascending page indices
+	data  []byte // pageSize bytes per entry of pages
+}
+
+// Snapshot returns an Image of the device's current contents. It copies
+// only the marked pages, so a freshly formatted multi-megabyte device
+// snapshots to a few hundred KiB.
+func (d *MemDevice) Snapshot() *Image {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	n := len(d.buf)
+	pages := (n + pageSize - 1) >> pageShift
+	count := 0
+	for wi, w := range d.dirty[:(pages+63)>>6] {
+		if rest := pages - wi<<6; rest < 64 {
+			w &= 1<<rest - 1
+		}
+		count += bits.OnesCount64(w)
+	}
+	im := &Image{size: int64(n), pages: make([]int, 0, count), data: make([]byte, count<<pageShift)}
+	eachDirty(d.dirty, 0, n, func(lo, hi int) {
+		copy(im.data[len(im.pages)<<pageShift:], d.buf[lo:hi])
+		im.pages = append(im.pages, lo>>pageShift)
+	})
+	return im
+}
+
+// Load replaces the device contents with an exact copy of im, reusing
+// the backing array when possible. Equivalent to a Reset to the
+// image's size followed by writing back the image's pages.
+func (d *MemDevice) Load(im *Image) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.reset(int(im.size))
+	for i, p := range im.pages {
+		lo := p << pageShift
+		copy(d.buf[lo:min(lo+pageSize, len(d.buf))], im.data[i<<pageShift:])
+		d.dirty[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// Bytes returns the live buffer (not a copy). Writes through it are
+// allowed anywhere in b[:cap(b)]: Bytes marks every page dirty, so the
+// next Reset, Resize or Snapshot sees them — at the cost of a
+// whole-device clear or copy. Only tests use it, for inspection and
+// corruption injection; production code snapshots with Snapshot.
+func (d *MemDevice) Bytes() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := range d.dirty {
+		d.dirty[i] = ^uint64(0)
+	}
 	return d.buf
 }
 

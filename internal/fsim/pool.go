@@ -15,8 +15,13 @@ import "sync"
 //   - GetDevice(n) is observationally identical to NewMemDevice(n):
 //     the device has size n and every byte reads zero, no matter what
 //     the previous trial wrote (including faultdev crash/torn-write
-//     poisoning). MemDevice.Reset enforces this, zeroing regrown
-//     capacity the same way Resize does.
+//     poisoning). The page invariant carries this: every byte of a
+//     MemDevice's backing array on an unmarked page is zero, so
+//     MemDevice.Reset clears exactly the marked pages and recycling
+//     costs O(pages the trial wrote), not O(device size).
+//   - LoadDevice(im) is observationally identical to a fresh device
+//     holding im: the recycled device is reset as above and then only
+//     the image's pages are copied in.
 //   - A device handed to PutDevice must not be used afterwards; the
 //     caller releases it only once nothing retains it (trial results
 //     carry strings and counters, never the device or Fs).
@@ -38,15 +43,13 @@ func GetDevice(n int64) *MemDevice {
 }
 
 // LoadDevice checks a device out of the arena holding an exact copy of
-// snapshot, the restore path of crash-recovery trials.
-func LoadDevice(snapshot []byte) *MemDevice {
-	if v := devicePool.Get(); v != nil {
-		d := v.(*MemDevice)
-		d.Load(snapshot)
-		return d
+// im, the restore path of crash-recovery trials.
+func LoadDevice(im *Image) *MemDevice {
+	d, _ := devicePool.Get().(*MemDevice)
+	if d == nil {
+		d = &MemDevice{}
 	}
-	d := &MemDevice{}
-	d.Load(snapshot)
+	d.Load(im)
 	return d
 }
 

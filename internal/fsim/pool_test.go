@@ -120,6 +120,11 @@ func TestTrialOnRecycledDeviceByteIdentical(t *testing.T) {
 // different size.
 func TestLoadDeviceRestoresSnapshot(t *testing.T) {
 	snapshot := bytes.Repeat([]byte{0xC3, 0x01, 0x7F}, 1<<10)
+	src := fsim.NewMemDevice(int64(len(snapshot)))
+	if err := src.WriteAt(snapshot, 0); err != nil {
+		t.Fatal(err)
+	}
+	img := src.Snapshot()
 
 	junk := fsim.GetDevice(1 << 20)
 	if err := junk.WriteAt(bytes.Repeat([]byte{0xFF}, 1<<20), 0); err != nil {
@@ -127,7 +132,7 @@ func TestLoadDeviceRestoresSnapshot(t *testing.T) {
 	}
 	fsim.PutDevice(junk)
 
-	dev := fsim.LoadDevice(snapshot)
+	dev := fsim.LoadDevice(img)
 	defer fsim.PutDevice(dev)
 	if dev.Size() != int64(len(snapshot)) {
 		t.Fatalf("size = %d, want %d", dev.Size(), len(snapshot))
@@ -202,5 +207,123 @@ func TestConcurrentPoolCheckout(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// contents reads d's full contents without Bytes, which would mark
+// every page dirty.
+func contents(t *testing.T, d *fsim.MemDevice) []byte {
+	t.Helper()
+	p := make([]byte, d.Size())
+	if err := d.ReadAt(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBytesWritesNeverSurviveRecycling pins the Bytes contract: the
+// returned buffer is live, and because Bytes marks every page dirty,
+// corruption injected through it — even past Size, inside the
+// capacity — is cleared when the device is recycled.
+func TestBytesWritesNeverSurviveRecycling(t *testing.T) {
+	const size = 1<<20 + 123
+	d := fsim.GetDevice(size)
+	b := d.Bytes()
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xD7
+	}
+	fsim.PutDevice(d)
+
+	re := fsim.GetDevice(size)
+	defer fsim.PutDevice(re)
+	if re.Size() != size {
+		t.Fatalf("recycled size = %d, want %d", re.Size(), size)
+	}
+	if !allZero(contents(t, re)) {
+		t.Fatal("bytes written through Bytes() survived recycling")
+	}
+	// A regrow into the capacity must read zero as well.
+	if err := re.Resize(int64(cap(b))); err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(contents(t, re)) {
+		t.Fatal("capacity written through Bytes() resurfaced on regrow")
+	}
+}
+
+// TestMkfsSnapshotIsSparse pins the sparsity the crash sweep's restore
+// cost rests on: a default mkfs on a 16 MiB trial device touches a few
+// dozen pages (69 when measured), so its snapshot must stay far below
+// the device's 4,096 pages. A regression to whole-device copies fails
+// here.
+func TestMkfsSnapshotIsSparse(t *testing.T) {
+	const size = 16 << 20
+	dev := fsim.GetDevice(size)
+	defer fsim.PutDevice(dev)
+	if _, err := mke2fs.Run(dev, mke2fs.Params{BlockSize: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	img := dev.Snapshot()
+	n := fsim.ImagePages(img)
+	if n > 128 {
+		t.Fatalf("16 MiB mkfs snapshot holds %d pages, want <= 128", n)
+	}
+	t.Logf("16 MiB mkfs snapshot: %d pages", n)
+	re := fsim.LoadDevice(img)
+	defer fsim.PutDevice(re)
+	if !bytes.Equal(contents(t, re), contents(t, dev)) {
+		t.Fatal("restored snapshot differs from the formatted device")
+	}
+}
+
+// TestLoadOnLargerJunkDeviceMatchesFresh restores a formatted image
+// into recycled devices whose capacity is larger than the image and
+// full of junk, then grows the file system into that capacity: the
+// result must equal the same trial on a fresh device carrying the
+// image.
+func TestLoadOnLargerJunkDeviceMatchesFresh(t *testing.T) {
+	src := fsim.NewMemDevice(16 << 20)
+	res, err := mke2fs.Run(src, mke2fs.Params{BlockSize: 1024, Features: []string{"sparse_super2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := src.Snapshot()
+	grow := func(dev *fsim.MemDevice) []byte {
+		t.Helper()
+		if !bytes.Equal(contents(t, dev), contents(t, src)) {
+			t.Fatal("loaded device differs from the snapshotted device")
+		}
+		if _, err := resize2fs.Run(dev, resize2fs.Options{Size: res.Fs.SB.BlocksCount + 8192}); err != nil {
+			t.Fatal(err)
+		}
+		return contents(t, dev)
+	}
+	junked := func() *fsim.MemDevice {
+		d := fsim.NewMemDevice(32 << 20)
+		for i, b := 0, d.Bytes(); i < len(b); i++ {
+			b[i] = 0xFF
+		}
+		if err := d.Resize(5 << 20); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	fresh := fsim.NewMemDevice(0)
+	fresh.Load(img)
+	want := grow(fresh)
+
+	direct := junked()
+	direct.Load(img)
+	if got := grow(direct); !bytes.Equal(got, want) {
+		t.Fatal("Load into a larger junk device differs from a fresh device")
+	}
+
+	fsim.PutDevice(junked())
+	pooled := fsim.LoadDevice(img)
+	defer fsim.PutDevice(pooled)
+	if got := grow(pooled); !bytes.Equal(got, want) {
+		t.Fatal("LoadDevice on a recycled junk device differs from a fresh device")
 	}
 }
