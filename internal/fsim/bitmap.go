@@ -106,9 +106,29 @@ func (b Bitmap) ClearRange(from, n int) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// numSet is a set of block or inode numbers held in a Bitmap that
+// grows to the highest number added, so its size follows what an image
+// actually claims rather than a superblock count. Numbers past its end
+// are absent.
+type numSet struct{ bm Bitmap }
+
+// has reports whether v is in the set.
+func (s *numSet) has(v uint32) bool { return int(v) < s.bm.n && s.bm.Test(int(v)) }
+
+// add puts v in the set and reports whether it was already there.
+func (s *numSet) add(v uint32) bool {
+	i := int(v)
+	if i >= s.bm.n {
+		// Doubling, from one 1 KiB bitmap block's worth of bits, keeps
+		// the copies few when claims arrive in no particular order.
+		n := (max(i+1, 2*s.bm.n, 1<<13) + 7) &^ 7
+		bits := make([]byte, n/8)
+		copy(bits, s.bm.bits)
+		s.bm = NewBitmap(bits, n)
 	}
-	return b
+	if s.bm.Test(i) {
+		return true
+	}
+	s.bm.Set(i)
+	return false
 }

@@ -2,7 +2,11 @@ package fsim
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // tree is a small known file-system population used by the audit tests.
@@ -201,5 +205,53 @@ func TestCleanAndCountAgreeOnCleanFs(t *testing.T) {
 	}
 	if n := len(CountByCode(probs)); n != 0 {
 		t.Errorf("CountByCode on a clean audit has %d codes", n)
+	}
+}
+
+// TestAuditBoundsInflatedInodesCount: an inodes_count past the groups'
+// inode tables (two flipped bits can do it) once made the audit report
+// every missing inode, one problem each: bit 20 cost ~1 s and ~0.5 GB,
+// bit 24 ~23 s and ~8.7 GB. Pass 0 now rejects it at once.
+func TestAuditBoundsInflatedInodesCount(t *testing.T) {
+	tr := mkTree(t)
+	sb := tr.fs.SB
+	sb.InodesCount |= 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	probs := tr.fs.Audit()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("audit allocated %d bytes, budget 1 MiB", alloc)
+	}
+	if elapsed > time.Second {
+		t.Errorf("audit took %v, budget 1s", elapsed)
+	}
+	want := fmt.Sprintf("inodes_count %d exceeds 2 groups × %d", sb.InodesCount, sb.InodesPerGroup)
+	if len(probs) != 1 || probs[0].Code != PBadSuper || probs[0].Msg != want {
+		t.Errorf("audit = %v, want one %s problem %q", probs, PBadSuper, want)
+	}
+}
+
+// TestAuditBoundsCorruptDirExtent: a directory extent whose end wraps
+// past 2^32 back inside the file system passes the range check, and
+// reading the directory once sized its buffer from the full extent
+// length, terabytes. The reads stop at the end of the device, and so
+// does the buffer now.
+func TestAuditBoundsCorruptDirExtent(t *testing.T) {
+	tr := mkTree(t)
+	rewriteInode(t, tr.fs, tr.dir, func(in *Inode) {
+		in.Extents[0] = Extent{Start: 8000, Len: math.MaxUint32 - 8000 + 101} // ends at block 100, mod 2^32
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	probs := tr.fs.Audit()
+	runtime.ReadMemStats(&after)
+	if alloc, budget := after.TotalAlloc-before.TotalAlloc, 4*uint64(tr.fs.Device().Size()); alloc > budget {
+		t.Errorf("audit allocated %d bytes, budget %d", alloc, budget)
+	}
+	if CountByCode(probs)[PDirStructure] == 0 {
+		t.Errorf("audit missed the unreadable directory: %v", probs)
 	}
 }

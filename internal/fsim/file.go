@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -344,8 +345,10 @@ func (fs *Fs) readData(in *Inode) ([]byte, error) {
 		mapped += in.Extents[i].Len
 	}
 	// One exact allocation, filled by direct device reads — no
-	// per-block buffers.
-	out := make([]byte, 0, int(mapped)*int(bs))
+	// per-block buffers. A corrupt inode can map terabytes, but each
+	// extent's reads stop at the end of the device, so the device size
+	// caps the allocation.
+	out := make([]byte, 0, min(int64(mapped)*int64(bs), int64(in.ValidExtents())*fs.dev.Size()))
 	for i := uint16(0); i < in.ValidExtents(); i++ {
 		e := in.Extents[i]
 		if e.Start+e.Len > fs.SB.BlocksCount {
@@ -353,7 +356,7 @@ func (fs *Fs) readData(in *Inode) ([]byte, error) {
 		}
 		for b := uint32(0); b < e.Len; b++ {
 			n := len(out)
-			out = out[:n+int(bs)]
+			out = slices.Grow(out, int(bs))[:n+int(bs)]
 			if err := fs.dev.ReadAt(out[n:], int64(e.Start+b)*int64(bs)); err != nil {
 				return nil, err
 			}

@@ -43,22 +43,22 @@ func (fs *Fs) RebuildBitmaps() (int, error) {
 	ratio := sb.ClusterRatio()
 	groups := sb.GroupCount()
 
-	// Build ground truth: blocks owned by live inodes.
-	owned := make(map[uint32]bool)
-	live := make(map[uint32]*Inode)
+	// Build ground truth: blocks owned by live inodes. Unlike Audit,
+	// every block below blocks_count counts, first_data_block or not.
+	var owned, live numSet
+	var in Inode
 	for ino := uint32(1); ino <= sb.InodesCount; ino++ {
-		in, err := fs.ReadInode(ino)
-		if err != nil {
+		if err := fs.ReadInodeInto(ino, &in); err != nil {
 			return 0, err
 		}
 		if !in.InUse() {
 			continue
 		}
-		live[ino] = in
+		live.add(ino)
 		for i := uint16(0); i < in.ValidExtents(); i++ {
 			e := in.Extents[i]
 			for b := e.Start; b < e.Start+e.Len && b < sb.BlocksCount; b++ {
-				owned[b] = true
+				owned.add(b)
 			}
 		}
 	}
@@ -80,7 +80,7 @@ func (fs *Fs) RebuildBitmaps() (int, error) {
 			} else {
 				first := base + c*ratio
 				for b := first; b < first+ratio && b < sb.BlocksCount; b++ {
-					if b < m.DataFirst || owned[b] {
+					if b < m.DataFirst || owned.has(b) {
 						want = true
 						break
 					}
@@ -107,8 +107,7 @@ func (fs *Fs) RebuildBitmaps() (int, error) {
 			ino := gi*sb.InodesPerGroup + i + 1
 			want := i >= sb.InodesPerGroup // padding
 			if !want {
-				_, isLive := live[ino]
-				want = isLive || ino < FirstIno
+				want = live.has(ino) || ino < FirstIno
 			}
 			if ibm.Test(int(i)) != want {
 				if want {
