@@ -197,8 +197,8 @@ func PrintCacheStats(tool string, comps map[string]*core.Component, store *depst
 				// The "round trips" clause is parsed by the CI daemon smoke
 				// (warm remote-only clients must finish in <=3), so its
 				// format is load-bearing like "engine runs" above.
-				fmt.Fprintf(os.Stderr, "%s: remote wire: %d requests, %d round trips, %d batches, %d batch records, %d deduped\n",
-					tool, bs.Requests, bs.RoundTrips, bs.Batches, bs.BatchRecords, bs.Dedups)
+				fmt.Fprintf(os.Stderr, "%s: remote wire: %d requests, %d round trips, %d batches, %d batch records\n",
+					tool, bs.Requests, bs.RoundTrips, bs.Batches, bs.BatchRecords)
 				fmt.Fprintf(os.Stderr, "%s: remote bytes: %d raw, %d compressed\n",
 					tool, bs.RawBytes, bs.WireBytes)
 				fmt.Fprintf(os.Stderr, "%s: remote breaker: %s; %d retries, %d opens, %d probes, %d recloses, %d short-circuits\n",

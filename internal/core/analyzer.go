@@ -331,11 +331,11 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 // AnalyzeAllDegraded and Session.Run. With a remote tier attached it
 // first pulls the run's whole record manifest in one bulk round trip;
 // local-only stores skip that, since they would pay the manifest build
-// for nothing. A failed batch falls back to per-record fetches with
-// byte-identical results. It then analyzes the scenarios under sopts,
-// in scenario order (quarantined selects degraded mode exactly as in
-// analyzeScenario), and pushes the run's deferred record uploads in
-// bulk.
+// for nothing. After a failed batch each record is fetched on its
+// miss, with byte-identical results. It then analyzes the scenarios
+// under sopts, in scenario order (quarantined selects degraded mode
+// exactly as in analyzeScenario), and pushes the run's deferred record
+// uploads in bulk.
 func runScenarios(comps map[string]*Component, scenarios []Scenario, opts Options, sopts sched.Options, quarantined map[string]error) ([]*Result, error) {
 	if opts.Store != nil && opts.Store.HasRemote() {
 		opts.Store.Prefetch(PrefetchRefs(comps, scenarios, opts))

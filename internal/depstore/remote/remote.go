@@ -5,11 +5,14 @@
 // the local-store-with-remote-registry shape that lets a fleet share
 // one extraction corpus.
 //
-// The wire protocol is deliberately dumb: GET/PUT of raw payload bytes
-// under /v1/store/{kind}/{key}, with 404 meaning miss. Envelope
-// framing, checksums, and corruption refusal stay a disk concern on
-// each side — the payload's own consumers re-validate everything, so a
-// byte-mangling proxy degrades to a miss, never a wrong answer.
+// Every record crosses in internal/depstore/wire's framed stream:
+// POST /v1/store/batch-get sends a JSON ref manifest and reads back one
+// frame per ref, a payload or an explicit miss, and
+// POST /v1/store/batch-put uploads records the same way. Each frame
+// carries a checksum and the stream a trailer, and the whole stream is
+// validated before any record is admitted, so a truncating or
+// byte-mangling proxy degrades to a miss, never a wrong answer. gzip
+// transport compression is negotiated with the standard headers.
 //
 // # Recovery model
 //
@@ -59,10 +62,6 @@ import (
 // "clean typed error" a wedged daemon produces — never a hang, never a
 // partial answer.
 var ErrUnavailable = errors.New("remote: daemon unavailable (circuit open)")
-
-// maxPayload bounds a single record read; matches the server's upload
-// bound so a healthy round-trip never truncates.
-const maxPayload = 64 << 20
 
 // maxBatchBytes bounds a bulk response body (the compressed stream as
 // read off the wire); matches the server's decompressed batch bound.
@@ -180,8 +179,7 @@ type Stats struct {
 	// ShortCircuits counts requests answered locally because the
 	// breaker was open.
 	ShortCircuits uint64
-	// Requests counts logical store requests (Get/Put/Ping/batch
-	// calls), deduplicated Gets excluded.
+	// Requests counts logical store requests (Ping and batch calls).
 	Requests uint64
 	// RoundTrips counts actual HTTP exchanges, retries included — the
 	// number the batch protocol exists to shrink.
@@ -190,10 +188,6 @@ type Stats struct {
 	// batch-put); BatchRecords counts the records they carried.
 	Batches      uint64
 	BatchRecords uint64
-	// Dedups counts concurrent identical Gets coalesced by the
-	// singleflight layer: callers that waited on another caller's
-	// in-flight fetch instead of issuing their own.
-	Dedups uint64
 	// RawBytes and WireBytes count the bulk transfers' framed stream
 	// size before and after transport compression; their ratio is the
 	// gzip win the -stats line reports.
@@ -225,24 +219,8 @@ type Client struct {
 	roundTrips    atomic.Uint64
 	batches       atomic.Uint64
 	batchRecords  atomic.Uint64
-	dedups        atomic.Uint64
 	rawBytes      atomic.Uint64
 	wireBytes     atomic.Uint64
-
-	// flights coalesces concurrent identical Gets: parallel sweep
-	// workers missing on the same key share one HTTP fetch instead of
-	// each paying their own round trip.
-	flightMu sync.Mutex
-	flights  map[string]*flight
-}
-
-// flight is one in-progress singleflight fetch. Waiters block on wg
-// and then read the shared result (payloads are read-only by the
-// depstore contract, so sharing the slice is sound).
-type flight struct {
-	wg      sync.WaitGroup
-	payload []byte
-	ok      bool
 }
 
 // New returns a client for the daemon at baseURL (e.g.
@@ -259,9 +237,8 @@ func NewWithConfig(baseURL string, cfg Config) *Client {
 		// No global client timeout: each attempt carries its own context
 		// deadline, so a slow request can be retried promptly instead of
 		// wedging the whole call for one long timeout.
-		hc:      &http.Client{},
-		cfg:     cfg.withDefaults(),
-		flights: make(map[string]*flight),
+		hc:  &http.Client{},
+		cfg: cfg.withDefaults(),
 	}
 }
 
@@ -285,7 +262,6 @@ func (c *Client) Stats() Stats {
 		RoundTrips:    c.roundTrips.Load(),
 		Batches:       c.batches.Load(),
 		BatchRecords:  c.batchRecords.Load(),
-		Dedups:        c.dedups.Load(),
 		RawBytes:      c.rawBytes.Load(),
 		WireBytes:     c.wireBytes.Load(),
 	}
@@ -499,70 +475,6 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-func (c *Client) recordURL(kind, key string) string {
-	return c.base + "/v1/store/" + url.PathEscape(kind) + "/" + url.PathEscape(key)
-}
-
-// Get fetches the payload under (kind, key) from the daemon. Any
-// failure — breaker open, transport error after retries, non-200
-// status, oversized body — is a miss, matching the depstore contract
-// that a cache tier never turns into an error source.
-//
-// Concurrent Gets for the same (kind, key) are coalesced: the first
-// caller fetches, the rest wait and share its answer. Parallel sweep
-// workers missing on one hot key used to each pay their own HTTP
-// round trip; now the fleet pays one.
-func (c *Client) Get(kind, key string) ([]byte, bool) {
-	fkey := kind + "\x00" + key
-	c.flightMu.Lock()
-	if f, ok := c.flights[fkey]; ok {
-		c.flightMu.Unlock()
-		f.wg.Wait()
-		c.dedups.Add(1)
-		return f.payload, f.ok
-	}
-	f := &flight{}
-	f.wg.Add(1)
-	c.flights[fkey] = f
-	c.flightMu.Unlock()
-	f.payload, f.ok = c.fetch(kind, key)
-	c.flightMu.Lock()
-	delete(c.flights, fkey)
-	c.flightMu.Unlock()
-	f.wg.Done()
-	return f.payload, f.ok
-}
-
-// fetch is the un-deduplicated record GET behind Get.
-func (c *Client) fetch(kind, key string) ([]byte, bool) {
-	res, err := c.do(http.MethodGet, c.recordURL(kind, key), nil, nil, maxPayload)
-	if err != nil {
-		return nil, false
-	}
-	if res.status != http.StatusOK {
-		// Any non-5xx answer (404 above all) is the daemon speaking: a
-		// miss is a healthy answer, already settled as a success.
-		return nil, false
-	}
-	return res.body, true
-}
-
-// Put pushes the payload under (kind, key) to the daemon. Errors are
-// returned for the caller's counters but must not fail an analysis.
-func (c *Client) Put(kind, key string, payload []byte) error {
-	if payload == nil {
-		payload = []byte{}
-	}
-	res, err := c.do(http.MethodPut, c.recordURL(kind, key), payload, nil, 4096)
-	if err != nil {
-		return fmt.Errorf("remote: %w", err)
-	}
-	if res.status != http.StatusNoContent && res.status != http.StatusOK {
-		return fmt.Errorf("remote: PUT %s/%s: HTTP %d", kind, key, res.status)
-	}
-	return nil
-}
-
 // batchManifest is the JSON body of a batch-get request: the refs the
 // client wants, in one round trip.
 type batchManifest struct {
@@ -591,8 +503,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // /v1/store/batch-get, negotiating gzip transport compression. It
 // returns ok=false — with zero records — whenever the batch answer
 // cannot be fully trusted: a non-200 answer, breaker open, transport
-// failure, or a truncated/corrupted stream. The caller falls back to
-// per-record Gets; a damaged batch can never poison a store.
+// failure, or a truncated/corrupted stream. The caller treats that as
+// a miss; a damaged batch can never poison a store.
 func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 	if len(refs) == 0 {
 		return map[depstore.Ref][]byte{}, true
@@ -647,8 +559,8 @@ func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 
 // BatchPut uploads many records in one gzip-compressed round trip via
 // POST /v1/store/batch-put. It returns whether the records were
-// delivered; on false the caller's per-record fallback still holds the
-// records safe (the remote tier is a cache of a cache).
+// delivered; on false the caller's local tiers still hold the records
+// (the remote tier is a cache of a cache).
 func (c *Client) BatchPut(recs []depstore.BatchRecord) bool {
 	if len(recs) == 0 {
 		return true

@@ -1,55 +1,82 @@
 package remote
 
 import (
+	"compress/gzip"
+	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fsdep/internal/depstore"
+	"fsdep/internal/depstore/wire"
 )
 
-// storeHandler is a minimal fsdepd store surface: GET/PUT raw payloads
-// under /v1/store/{kind}/{key}, 404 for misses, 200 on /v1/ping.
+// storeHandler is a minimal fsdepd store surface: the two batch routes
+// over an in-memory map (misses answered as missing frames) and 200 on
+// /v1/ping.
 type storeHandler struct {
 	mu   sync.Mutex
-	recs map[string][]byte
+	recs map[depstore.Ref][]byte
 }
 
 func newStoreHandler() *storeHandler {
-	return &storeHandler{recs: make(map[string][]byte)}
+	return &storeHandler{recs: make(map[depstore.Ref][]byte)}
 }
 
 func (h *storeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/ping" {
-		w.Write([]byte(`{"status":"ok"}`))
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/v1/store/")
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch r.Method {
-	case http.MethodGet:
-		p, ok := h.recs[key]
-		if !ok {
-			http.NotFound(w, r)
+	switch r.URL.Path {
+	case "/v1/ping":
+		w.Write([]byte(`{"status":"ok"}`))
+	case "/v1/store/batch-get":
+		var m batchManifest
+		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Write(p)
-	case http.MethodPut:
-		body, err := io.ReadAll(r.Body)
+		recs := make([]wire.Record, len(m.Refs))
+		for i, ref := range m.Refs {
+			p, ok := h.recs[depstore.Ref{Kind: ref.Kind, Key: ref.Key}]
+			recs[i] = wire.Record{Kind: ref.Kind, Key: ref.Key, Payload: p, Missing: !ok}
+		}
+		wire.Write(w, recs)
+	case "/v1/store/batch-put":
+		gz, err := gzip.NewReader(r.Body)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		h.recs[key] = body
+		recs, err := wire.ReadAll(gz, 0)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		for _, rec := range recs {
+			h.recs[depstore.Ref{Kind: rec.Kind, Key: rec.Key}] = rec.Payload
+		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		http.Error(w, "method", http.StatusMethodNotAllowed)
+		http.NotFound(w, r)
 	}
+}
+
+// get fetches one record in a one-ref batch, the way a local miss in
+// depstore.Store does.
+func get(c *Client, key string) ([]byte, bool) {
+	ref := depstore.Ref{Kind: depstore.KindTaint, Key: key}
+	got, ok := c.BatchGet([]depstore.Ref{ref})
+	p, have := got[ref]
+	return p, ok && have
+}
+
+// put uploads one record in a one-record batch.
+func put(c *Client, key string, payload []byte) bool {
+	return c.BatchPut([]depstore.BatchRecord{{Ref: depstore.Ref{Kind: depstore.KindTaint, Key: key}, Payload: payload}})
 }
 
 // fakeClock advances instantly on Sleep and records every sleep, so
@@ -113,14 +140,14 @@ func TestPingAndRoundTrip(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if _, ok := c.Get("taint", "deadbeef"); ok {
+	if _, ok := get(c, "deadbeef"); ok {
 		t.Fatal("absent record reported present")
 	}
 	payload := []byte(`{"v":1}`)
-	if err := c.Put("taint", "deadbeef", payload); err != nil {
-		t.Fatalf("put: %v", err)
+	if !put(c, "deadbeef", payload) {
+		t.Fatal("put failed")
 	}
-	got, ok := c.Get("taint", "deadbeef")
+	got, ok := get(c, "deadbeef")
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("get = %q, %v", got, ok)
 	}
@@ -144,12 +171,12 @@ func TestMissDoesNotTripBreaker(t *testing.T) {
 	defer ts.Close()
 	c := NewWithConfig(ts.URL, testConfig(newFakeClock()))
 	for i := 0; i < 5; i++ {
-		if _, ok := c.Get("taint", "deadbeef"); ok {
+		if _, ok := get(c, "deadbeef"); ok {
 			t.Fatal("phantom hit")
 		}
 	}
 	if st := c.Stats(); st.State != "closed" || st.Opens != 0 {
-		t.Errorf("healthy 404s tripped the breaker: %+v", st)
+		t.Errorf("healthy misses tripped the breaker: %+v", st)
 	}
 }
 
@@ -163,7 +190,7 @@ func TestBreakerOpensAndShortCircuits(t *testing.T) {
 	clk := newFakeClock()
 	c := NewWithConfig(ts.URL, testConfig(clk))
 	for i := 0; i < 3; i++ {
-		if _, ok := c.Get("taint", "deadbeef"); ok {
+		if _, ok := get(c, "deadbeef"); ok {
 			t.Fatal("hit from a failing server")
 		}
 	}
@@ -171,14 +198,15 @@ func TestBreakerOpensAndShortCircuits(t *testing.T) {
 	if st.State != "open" || st.Opens != 1 {
 		t.Fatalf("after %d failures stats = %+v, want open breaker", 3, st)
 	}
-	// Within the cooldown every request short-circuits: a miss for Get,
-	// a typed ErrUnavailable for Put, and zero traffic to the daemon.
+	// Within the cooldown every request short-circuits: a miss for a
+	// get, a refusal for a put, a typed ErrUnavailable for Ping, and
+	// zero traffic to the daemon.
 	before := hits.Load()
-	if _, ok := c.Get("taint", "deadbeef"); ok {
+	if _, ok := get(c, "deadbeef"); ok {
 		t.Error("open breaker returned a hit")
 	}
-	if err := c.Put("taint", "deadbeef", []byte("x")); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("open-breaker put error = %v, want ErrUnavailable", err)
+	if put(c, "deadbeef", []byte("x")) {
+		t.Error("open-breaker put succeeded")
 	}
 	if err := c.Ping(); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("open-breaker ping error = %v, want ErrUnavailable", err)
@@ -207,7 +235,7 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 	cfg := testConfig(clk)
 	c := NewWithConfig(ts.URL, cfg)
 	for i := 0; i < cfg.Threshold; i++ {
-		c.Get("taint", "deadbeef")
+		get(c, "deadbeef")
 	}
 	if st := c.Stats(); st.State != "open" {
 		t.Fatalf("stats = %+v, want open", st)
@@ -216,7 +244,7 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 	// half-open probe and its success re-closes the breaker.
 	failing.Store(false)
 	clk.Advance(cfg.Cooldown)
-	if _, ok := c.Get("taint", "deadbeef"); ok {
+	if _, ok := get(c, "deadbeef"); ok {
 		t.Fatal("probe miss reported as hit")
 	}
 	st := c.Stats()
@@ -224,10 +252,10 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 		t.Fatalf("after probe stats = %+v, want closed with 1 probe + 1 reclose", st)
 	}
 	// Fully recovered: round-trips work again.
-	if err := c.Put("taint", "deadbeef", []byte(`{"v":2}`)); err != nil {
-		t.Fatalf("post-recovery put: %v", err)
+	if !put(c, "deadbeef", []byte(`{"v":2}`)) {
+		t.Fatal("post-recovery put failed")
 	}
-	if got, ok := c.Get("taint", "deadbeef"); !ok || string(got) != `{"v":2}` {
+	if got, ok := get(c, "deadbeef"); !ok || string(got) != `{"v":2}` {
 		t.Fatalf("post-recovery get = %q, %v", got, ok)
 	}
 }
@@ -243,11 +271,11 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	cfg := testConfig(clk)
 	c := NewWithConfig(ts.URL, cfg)
 	for i := 0; i < cfg.Threshold; i++ {
-		c.Get("taint", "deadbeef")
+		get(c, "deadbeef")
 	}
 	clk.Advance(cfg.Cooldown)
 	before := hits.Load()
-	c.Get("taint", "deadbeef") // the probe: exactly one request, fails
+	get(c, "deadbeef") // the probe: exactly one request, fails
 	if hits.Load() != before+1 {
 		t.Fatalf("probe sent %d requests, want 1", hits.Load()-before)
 	}
@@ -257,13 +285,13 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 	// Re-opened: short-circuiting again until the next cooldown.
 	before = hits.Load()
-	c.Get("taint", "deadbeef")
+	get(c, "deadbeef")
 	if hits.Load() != before {
 		t.Error("re-opened breaker let a request through before the cooldown")
 	}
 	// And the cycle repeats: next cooldown earns exactly one more probe.
 	clk.Advance(cfg.Cooldown)
-	c.Get("taint", "deadbeef")
+	get(c, "deadbeef")
 	if st := c.Stats(); st.Probes != 2 {
 		t.Errorf("stats = %+v, want a second probe after the second cooldown", st)
 	}
@@ -286,8 +314,8 @@ func TestRetriesRecoverAndBackoffIsDeterministic(t *testing.T) {
 		cfg.MaxRetries = 2
 		cfg.Seed = seed
 		c := NewWithConfig(ts.URL, cfg)
-		if err := c.Put("taint", "deadbeef", []byte(`{"v":1}`)); err != nil {
-			t.Fatalf("put did not survive two transient failures: %v", err)
+		if !put(c, "deadbeef", []byte(`{"v":1}`)) {
+			t.Fatal("put did not survive two transient failures")
 		}
 		return clk.Sleeps(), c.Stats()
 	}
@@ -333,8 +361,8 @@ func TestLoadShedRetryAfterIsHonored(t *testing.T) {
 	cfg.MaxRetries = 1
 	cfg.BackoffMax = 2 * time.Second
 	c := NewWithConfig(ts.URL, cfg)
-	if err := c.Put("taint", "deadbeef", []byte(`{"v":1}`)); err != nil {
-		t.Fatalf("put did not survive one load-shed answer: %v", err)
+	if !put(c, "deadbeef", []byte(`{"v":1}`)) {
+		t.Fatal("put did not survive one load-shed answer")
 	}
 	sleeps := clk.Sleeps()
 	if len(sleeps) != 1 || sleeps[0] < 500*time.Millisecond {
@@ -357,17 +385,17 @@ func TestServerErrorsTripBreakerButSuccessResets(t *testing.T) {
 	c := NewWithConfig(ts.URL, cfg)
 	failing.Store(true)
 	for i := 0; i < cfg.Threshold-1; i++ {
-		c.Get("taint", "deadbeef")
+		get(c, "deadbeef")
 	}
 	if c.tripped() {
 		t.Fatal("breaker opened one failure early")
 	}
 	// One healthy answer (even a miss) must reset the failure count.
 	failing.Store(false)
-	c.Get("taint", "deadbeef")
+	get(c, "deadbeef")
 	failing.Store(true)
 	for i := 0; i < cfg.Threshold-1; i++ {
-		c.Get("taint", "deadbeef")
+		get(c, "deadbeef")
 	}
 	if c.tripped() {
 		t.Error("success did not reset the breaker count")

@@ -73,17 +73,6 @@ type envelope struct {
 	Sum    string `json:"sum"`
 }
 
-// Remote is a secondary record tier consulted when the local tier
-// misses and warmed on every Put. Implementations must be safe for
-// concurrent use and must treat every failure as a miss (Get) or a
-// reportable-but-ignorable error (Put): a remote tier is a cache of a
-// cache, never a correctness dependency. The canonical implementation
-// is internal/depstore/remote's HTTP client against a running fsdepd.
-type Remote interface {
-	Get(kind, key string) ([]byte, bool)
-	Put(kind, key string, payload []byte) error
-}
-
 // Ref addresses one record: a (kind, key) pair.
 type Ref struct {
 	Kind string
@@ -97,14 +86,16 @@ type BatchRecord struct {
 	Payload []byte
 }
 
-// BatchRemote is a Remote that additionally speaks the bulk framed
-// protocol (internal/depstore/wire): many records per round trip.
-// Both methods report ok=false when the batch transfer failed, and the
-// caller falls back to per-record calls; a false return must admit
-// nothing (the wire layer guarantees a damaged stream yields zero
-// records). The canonical implementation is internal/depstore/remote.
-type BatchRemote interface {
-	Remote
+// Remote is a secondary record tier consulted when the local tiers
+// miss and warmed on every Put. It moves records in batches: a local
+// miss is a one-ref BatchGet, a prefetch one BatchGet of the whole
+// manifest. Both methods report ok=false when the transfer failed,
+// and a false return admits nothing (the wire layer guarantees a
+// damaged stream yields zero records). Implementations must be safe
+// for concurrent use: a remote tier is a cache of a cache, never a
+// correctness dependency. The canonical implementation is
+// internal/depstore/remote's HTTP client against a running fsdepd.
+type Remote interface {
 	// BatchGet fetches the given refs in one round trip. The returned
 	// map holds only the records the remote had.
 	BatchGet(refs []Ref) (map[Ref][]byte, bool)
@@ -152,15 +143,15 @@ type Store struct {
 	// plus a directory-fsync chain.
 	dirsReady sync.Map // dir path -> struct{}
 
-	// pending buffers remote uploads when the remote speaks the batch
-	// protocol, so a cold analysis pushes its records in a few bulk
-	// round trips (threshold flushes plus FlushRemote at run
-	// boundaries) instead of one HTTP call per record.
+	// pending buffers remote uploads while another tier can answer
+	// read-after-write, so a cold analysis pushes its records in a few
+	// bulk round trips (threshold flushes plus FlushRemote at run
+	// boundaries) instead of one per record.
 	pendingMu sync.Mutex
 	pending   []BatchRecord
 
 	// negative remembers refs a completed bulk prefetch proved absent
-	// from the remote, so the run's cold misses skip the per-record
+	// from the remote, so the run's cold misses skip the one-ref
 	// remote round trip they would otherwise each pay. Entries clear on
 	// Put (the record exists now). Records appearing remotely mid-run
 	// via another client are missed until the next prefetch — sound for
@@ -323,29 +314,34 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 		}
 	}
 	if s.remote != nil {
-		if s.knownAbsent(kind, key) {
-			atomic.AddUint64(&s.remoteMisses, 1)
-			atomic.AddUint64(&s.misses, 1)
-			return nil, false
-		}
-		if payload, ok := s.remote.Get(kind, key); ok {
-			atomic.AddUint64(&s.remoteHits, 1)
-			s.hotAdd(kind, key, payload)
-			if s.dir != "" {
-				// Best-effort write-back; a failure just leaves the next
-				// lookup remote again — but it is counted, so a read-only
-				// cache directory shows up in -stats instead of silently
-				// paying a remote round-trip per lookup forever.
-				if err := s.localPut(kind, key, payload); err != nil {
-					atomic.AddUint64(&s.writeBackErrs, 1)
+		ref := Ref{Kind: kind, Key: key}
+		if !s.knownAbsent(ref) {
+			if got, ok := s.remote.BatchGet([]Ref{ref}); ok {
+				if payload, ok := got[ref]; ok {
+					s.admitRemote(ref, payload)
+					return payload, true
 				}
 			}
-			return payload, true
 		}
 		atomic.AddUint64(&s.remoteMisses, 1)
 	}
 	atomic.AddUint64(&s.misses, 1)
 	return nil, false
+}
+
+// admitRemote counts a record the remote served and admits it to the
+// hot and disk tiers. The disk write-back is best-effort: a failure
+// just leaves the next lookup remote again, but it is counted, so a
+// read-only cache directory shows up in -stats instead of silently
+// paying a remote round trip per lookup forever.
+func (s *Store) admitRemote(ref Ref, payload []byte) {
+	atomic.AddUint64(&s.remoteHits, 1)
+	s.hotAdd(ref.Kind, ref.Key, payload)
+	if s.dir != "" {
+		if err := s.localPut(ref.Kind, ref.Key, payload); err != nil {
+			atomic.AddUint64(&s.writeBackErrs, 1)
+		}
+	}
 }
 
 // hotAdd admits a validated payload into the hot tier, if enabled.
@@ -355,15 +351,12 @@ func (s *Store) hotAdd(kind, key string, payload []byte) {
 	}
 }
 
-// knownAbsent reports whether a bulk prefetch proved (kind, key)
-// missing from the remote this run.
-func (s *Store) knownAbsent(kind, key string) bool {
+// knownAbsent reports whether a bulk prefetch proved ref missing from
+// the remote this run.
+func (s *Store) knownAbsent(ref Ref) bool {
 	s.negMu.Lock()
 	defer s.negMu.Unlock()
-	if s.negative == nil {
-		return false
-	}
-	_, absent := s.negative[Ref{Kind: kind, Key: key}]
+	_, absent := s.negative[ref]
 	return absent
 }
 
@@ -452,8 +445,10 @@ func decodeRecord(raw []byte, kind string) ([]byte, recordVerdict) {
 // atomic rename, so a concurrent reader — or a reader after a crash
 // mid-write — sees either the complete record or none) and pushes it
 // to the remote tier when one is attached, warming the shared store.
-// Put errors are reportable but never fatal to an analysis: the store
-// is a cache.
+// The push joins the pending batch when a disk or hot tier can answer
+// read-after-write until it is flushed; a store with neither pushes a
+// one-record batch at once, and a failed push is its error. Put errors
+// are reportable but never fatal to an analysis: the store is a cache.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	s.hotAdd(kind, key, payload)
 	s.notePresent(kind, key)
@@ -461,20 +456,18 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if s.dir != "" {
 		err = s.localPut(kind, key, payload)
 	}
-	if s.remote != nil {
-		if s.deferRemotePut(kind, key, payload) {
-			return err
-		}
-		if rerr := s.remote.Put(kind, key, payload); rerr != nil {
-			atomic.AddUint64(&s.remoteErrs, 1)
-			if err == nil && s.dir == "" {
-				err = rerr
-			}
-		} else {
-			atomic.AddUint64(&s.remoteWrites, 1)
-		}
+	if s.remote == nil {
+		return err
 	}
-	return err
+	rec := BatchRecord{Ref: Ref{Kind: kind, Key: key}, Payload: payload}
+	if s.dir != "" || s.hot != nil {
+		s.deferRemotePut(rec)
+		return err
+	}
+	if !s.pushBatch([]BatchRecord{rec}) {
+		return fmt.Errorf("depstore: pushing %s record to the remote tier failed", kind)
+	}
+	return nil
 }
 
 // putFlushThreshold is the pending-upload count that triggers a
@@ -483,18 +476,11 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 // local tier already holds them all).
 const putFlushThreshold = 64
 
-// deferRemotePut enqueues a remote upload for bulk transfer instead of
-// issuing it now. Deferral requires a batch-speaking remote still in
-// good standing plus another tier (local disk or hot memory) that can
-// answer read-after-write in the interim; otherwise the caller falls
-// back to the immediate per-record push.
-func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
-	br, ok := s.remote.(BatchRemote)
-	if !ok || (s.dir == "" && s.hot == nil) {
-		return false
-	}
+// deferRemotePut enqueues a remote upload for bulk transfer,
+// flushing the queue once it reaches putFlushThreshold.
+func (s *Store) deferRemotePut(rec BatchRecord) {
 	s.pendingMu.Lock()
-	s.pending = append(s.pending, BatchRecord{Ref: Ref{Kind: kind, Key: key}, Payload: payload})
+	s.pending = append(s.pending, rec)
 	var flush []BatchRecord
 	if len(s.pending) >= putFlushThreshold {
 		flush = s.pending
@@ -502,44 +488,35 @@ func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
 	}
 	s.pendingMu.Unlock()
 	if flush != nil {
-		s.pushBatch(br, flush)
+		s.pushBatch(flush)
 	}
-	return true
 }
 
 // FlushRemote pushes any pending deferred uploads to the remote tier.
 // Analyses call it at the end of every run; it is a no-op for stores
 // with nothing pending.
 func (s *Store) FlushRemote() {
-	br, ok := s.remote.(BatchRemote)
-	if !ok {
-		return
-	}
 	s.pendingMu.Lock()
 	flush := s.pending
 	s.pending = nil
 	s.pendingMu.Unlock()
 	if len(flush) > 0 {
-		s.pushBatch(br, flush)
+		s.pushBatch(flush)
 	}
 }
 
-// pushBatch uploads one pending batch, falling back to per-record
-// pushes when the bulk transfer fails. Per-record pushes ride the
-// usual retry/breaker machinery, so a dead daemon costs a breaker
-// trip, not a hang.
-func (s *Store) pushBatch(br BatchRemote, recs []BatchRecord) {
-	if br.BatchPut(recs) {
+// pushBatch uploads one batch and reports whether it was delivered. A
+// failed batch counts its records as remote errors; they stay in the
+// local tiers, and the remote catches up when a later run writes them
+// again. The client's retry and breaker machinery bounds the cost of a
+// dead daemon.
+func (s *Store) pushBatch(recs []BatchRecord) bool {
+	if s.remote.BatchPut(recs) {
 		atomic.AddUint64(&s.remoteWrites, uint64(len(recs)))
-		return
+		return true
 	}
-	for _, rec := range recs {
-		if err := br.Put(rec.Kind, rec.Key, rec.Payload); err != nil {
-			atomic.AddUint64(&s.remoteErrs, 1)
-		} else {
-			atomic.AddUint64(&s.remoteWrites, 1)
-		}
-	}
+	atomic.AddUint64(&s.remoteErrs, uint64(len(recs)))
+	return false
 }
 
 // Prefetch bulk-fetches the given refs into the local tiers ahead of
@@ -547,14 +524,9 @@ func (s *Store) pushBatch(br BatchRemote, recs []BatchRecord) {
 // trip instead of one per record. Refs already present locally are
 // skipped (and admitted to the hot tier); the rest travel in a single
 // BatchGet. A batch that fails degrades silently — the analysis
-// simply falls back to per-record fetches on miss, byte-identical
-// either way.
+// simply fetches each record on its miss, byte-identical either way.
 func (s *Store) Prefetch(refs []Ref) {
 	if s.remote == nil || len(refs) == 0 {
-		return
-	}
-	br, ok := s.remote.(BatchRemote)
-	if !ok {
 		return
 	}
 	missing := make([]Ref, 0, len(refs))
@@ -575,7 +547,7 @@ func (s *Store) Prefetch(refs []Ref) {
 	if len(missing) == 0 {
 		return
 	}
-	got, ok := br.BatchGet(missing)
+	got, ok := s.remote.BatchGet(missing)
 	if !ok {
 		return
 	}
@@ -585,14 +557,8 @@ func (s *Store) Prefetch(refs []Ref) {
 		}
 	}
 	for ref, payload := range got {
-		atomic.AddUint64(&s.remoteHits, 1)
 		atomic.AddUint64(&s.prefetched, 1)
-		s.hotAdd(ref.Kind, ref.Key, payload)
-		if s.dir != "" {
-			if err := s.localPut(ref.Kind, ref.Key, payload); err != nil {
-				atomic.AddUint64(&s.writeBackErrs, 1)
-			}
-		}
+		s.admitRemote(ref, payload)
 	}
 }
 

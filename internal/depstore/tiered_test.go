@@ -14,33 +14,40 @@ import (
 type fakeRemote struct {
 	mu   sync.Mutex
 	recs map[string][]byte
-	gets int
-	puts int
-	// putErr, when set, fails every Put.
-	putErr error
+	gets int // BatchGet calls
+	puts int // records offered to BatchPut
+	// failPuts, when set, fails every BatchPut.
+	failPuts bool
 }
 
 func newFakeRemote() *fakeRemote {
 	return &fakeRemote{recs: make(map[string][]byte)}
 }
 
-func (f *fakeRemote) Get(kind, key string) ([]byte, bool) {
+func (f *fakeRemote) BatchGet(refs []Ref) (map[Ref][]byte, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.gets++
-	p, ok := f.recs[kind+"/"+key]
-	return p, ok
+	out := make(map[Ref][]byte)
+	for _, ref := range refs {
+		if p, ok := f.recs[ref.Kind+"/"+ref.Key]; ok {
+			out[ref] = p
+		}
+	}
+	return out, true
 }
 
-func (f *fakeRemote) Put(kind, key string, payload []byte) error {
+func (f *fakeRemote) BatchPut(recs []BatchRecord) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.puts++
-	if f.putErr != nil {
-		return f.putErr
+	f.puts += len(recs)
+	if f.failPuts {
+		return false
 	}
-	f.recs[kind+"/"+key] = append([]byte(nil), payload...)
-	return nil
+	for _, rec := range recs {
+		f.recs[rec.Kind+"/"+rec.Key] = append([]byte(nil), rec.Payload...)
+	}
+	return true
 }
 
 func TestPutUsesShardedLayout(t *testing.T) {
@@ -257,6 +264,12 @@ func TestTieredPutWarmsRemote(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	// The disk tier answers read-after-write, so the push waits for the
+	// run's flush.
+	if rem.puts != 0 {
+		t.Errorf("remote saw %d puts before the flush, want 0", rem.puts)
+	}
+	s.FlushRemote()
 	if rem.puts != 1 {
 		t.Errorf("remote saw %d puts, want 1", rem.puts)
 	}
@@ -265,20 +278,86 @@ func TestTieredPutWarmsRemote(t *testing.T) {
 	}
 }
 
+// TestDeferredPutsFlushAtThreshold: deferred pushes leave in batches of
+// putFlushThreshold, and FlushRemote sends the remainder.
+func TestDeferredPutsFlushAtThreshold(t *testing.T) {
+	rem := newFakeRemote()
+	s, err := OpenWith(Options{Remote: rem, HotRecords: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < putFlushThreshold+3; i++ {
+		if err := s.Put(KindTaint, Key(fmt.Sprint("deferred-", i)), []byte(`{"v":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rem.puts != putFlushThreshold {
+		t.Errorf("remote saw %d puts before the flush, want %d", rem.puts, putFlushThreshold)
+	}
+	s.FlushRemote()
+	if st := s.Stats(); rem.puts != putFlushThreshold+3 || st.RemoteWrites != putFlushThreshold+3 || st.RemoteErrors != 0 {
+		t.Errorf("after flush: remote saw %d puts, stats = %+v", rem.puts, st)
+	}
+}
+
+// TestPrefetchProvesAbsence: a ref the prefetch found missing answers
+// its later Get as a miss without another remote call, until a Put
+// makes it present.
+func TestPrefetchProvesAbsence(t *testing.T) {
+	rem := newFakeRemote()
+	have, absent := Ref{KindTaint, Key("have")}, Ref{KindTaint, Key("absent")}
+	rem.recs[have.Kind+"/"+have.Key] = []byte(`{"v":1}`)
+	s, err := OpenWith(Options{Remote: rem, HotRecords: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Prefetch([]Ref{have, absent})
+	if rem.gets != 1 {
+		t.Fatalf("prefetch made %d remote calls, want 1", rem.gets)
+	}
+	if _, ok := s.Get(have.Kind, have.Key); !ok {
+		t.Fatal("prefetched record missing")
+	}
+	if _, ok := s.Get(absent.Kind, absent.Key); ok {
+		t.Fatal("absent record reported present")
+	}
+	if rem.gets != 1 {
+		t.Errorf("Gets after the prefetch made %d remote calls, want 0", rem.gets-1)
+	}
+	st := s.Stats()
+	if st.Prefetched != 1 || st.RemoteHits != 1 || st.HotHits != 1 || st.RemoteMisses != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+	if err := s.Put(absent.Kind, absent.Key, []byte(`{"v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(absent.Kind, absent.Key); !ok {
+		t.Error("record written after the prefetch still reads as absent")
+	}
+}
+
 func TestTieredRemotePutErrorIsNotFatal(t *testing.T) {
 	rem := newFakeRemote()
-	rem.putErr = fmt.Errorf("daemon gone")
+	rem.failPuts = true
 	s, err := OpenWith(Options{Dir: t.TempDir(), Remote: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a local tier the remote failure is counted, not returned: the
 	// local write succeeded and the cache contract holds.
-	if err := s.Put(KindTaint, Key("local-ok"), []byte(`{"v":1}`)); err != nil {
-		t.Fatalf("put with failing remote errored: %v", err)
+	for _, name := range []string{"local-ok", "local-too"} {
+		if err := s.Put(KindTaint, Key(name), []byte(`{"v":1}`)); err != nil {
+			t.Fatalf("put with failing remote errored: %v", err)
+		}
 	}
-	if st := s.Stats(); st.RemoteErrors != 1 || st.Writes != 1 {
-		t.Errorf("stats = %+v", st)
+	s.FlushRemote()
+	if st := s.Stats(); st.RemoteErrors != 2 || st.RemoteWrites != 0 || st.Writes != 2 {
+		t.Errorf("stats = %+v, want both records of the failed batch counted as remote errors", st)
+	}
+	for _, name := range []string{"local-ok", "local-too"} {
+		if _, ok := s.Get(KindTaint, Key(name)); !ok {
+			t.Errorf("record %s left the local tier after the failed batch", name)
+		}
 	}
 }
 
@@ -309,7 +388,7 @@ func TestRemoteOnlyStore(t *testing.T) {
 	}
 	// Remote-only has no disk to fall back on, so a Put failure must
 	// surface.
-	rem.putErr = fmt.Errorf("daemon gone")
+	rem.failPuts = true
 	if err := s.Put(KindTaint, Key("lost"), payload); err == nil {
 		t.Error("remote-only put swallowed the remote failure")
 	}

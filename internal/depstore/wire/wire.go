@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Stream magics. The header byte-for-byte identifies the protocol (a
@@ -57,6 +58,16 @@ const (
 const (
 	MaxRecords = 1 << 20
 	MaxPayload = 64 << 20
+)
+
+// initialRecords caps the record capacity ReadAll sizes from a
+// stream's declared count, and readChunk the bytes readBody
+// allocates ahead of what it has received: the declared sizes come
+// from whoever sent the stream, so memory follows the bytes that
+// actually arrive, not the claims.
+const (
+	initialRecords = 256
+	readChunk      = 64 << 10
 )
 
 // ErrTruncated reports a stream that ended before its declared record
@@ -141,10 +152,12 @@ func writeFrame(w io.Writer, rec *Record) error {
 
 // ReadAll parses one complete stream from r, enforcing maxBytes as the
 // cumulative payload bound (<=0 means MaxRecords*MaxPayload — i.e.
-// only the per-record bounds). It validates everything — header,
-// every frame's checksum, the trailer, and that nothing follows it —
-// before returning, so on any error the caller has zero records to
-// admit: a truncated or corrupted batch can never poison a store.
+// only the per-record bounds), and refuses a payload that would cross
+// it before reading a byte of that payload. It validates everything —
+// header, every frame's checksum, the trailer, and that nothing
+// follows it — before returning, so on any error the caller has zero
+// records to admit: a truncated or corrupted batch can never poison a
+// store.
 func ReadAll(r io.Reader, maxBytes int64) ([]Record, error) {
 	if maxBytes <= 0 {
 		maxBytes = int64(MaxRecords) * MaxPayload
@@ -160,17 +173,14 @@ func ReadAll(r io.Reader, maxBytes int64) ([]Record, error) {
 	if count > MaxRecords {
 		return nil, fmt.Errorf("%w: %d records exceed the %d batch bound", ErrCorrupt, count, MaxRecords)
 	}
-	recs := make([]Record, 0, count)
+	recs := make([]Record, 0, min(count, initialRecords))
 	var total int64
 	for i := uint32(0); i < count; i++ {
-		rec, n, err := readFrame(r)
+		rec, err := readFrame(r, maxBytes-total)
 		if err != nil {
 			return nil, err
 		}
-		total += n
-		if total > maxBytes {
-			return nil, fmt.Errorf("%w: batch exceeds the %d-byte payload bound", ErrCorrupt, maxBytes)
-		}
+		total += int64(len(rec.Payload))
 		recs = append(recs, rec)
 	}
 	var trailer [4]byte
@@ -188,50 +198,74 @@ func ReadAll(r io.Reader, maxBytes int64) ([]Record, error) {
 	return recs, nil
 }
 
-func readFrame(r io.Reader) (Record, int64, error) {
+// readFrame reads one frame whose payload may use at most budget
+// bytes, what is left of ReadAll's cumulative bound.
+func readFrame(r io.Reader, budget int64) (Record, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return Record{}, 0, refuse(err)
+		return Record{}, refuse(err)
 	}
 	flag := head[0]
 	if flag > 1 {
-		return Record{}, 0, fmt.Errorf("%w: unknown frame flag %d", ErrCorrupt, flag)
+		return Record{}, fmt.Errorf("%w: unknown frame flag %d", ErrCorrupt, flag)
 	}
 	kindLen := int(head[1])
 	keyLen := int(binary.BigEndian.Uint16(head[2:]))
 	if kindLen == 0 || keyLen == 0 {
-		return Record{}, 0, fmt.Errorf("%w: empty record reference", ErrCorrupt)
+		return Record{}, fmt.Errorf("%w: empty record reference", ErrCorrupt)
 	}
 	var payloadLen int64
 	if flag == 1 {
 		var pl [4]byte
 		if _, err := io.ReadFull(r, pl[:]); err != nil {
-			return Record{}, 0, refuse(err)
+			return Record{}, refuse(err)
 		}
 		payloadLen = int64(binary.BigEndian.Uint32(pl[:]))
 		if payloadLen > MaxPayload {
-			return Record{}, 0, fmt.Errorf("%w: %d-byte payload exceeds the %d bound", ErrCorrupt, payloadLen, MaxPayload)
+			return Record{}, fmt.Errorf("%w: %d-byte payload exceeds the %d bound", ErrCorrupt, payloadLen, MaxPayload)
+		}
+		if payloadLen > budget {
+			return Record{}, fmt.Errorf("%w: %d-byte payload exceeds the batch's remaining %d-byte payload bound", ErrCorrupt, payloadLen, budget)
 		}
 	}
 	ref := make([]byte, kindLen+keyLen)
 	if _, err := io.ReadFull(r, ref); err != nil {
-		return Record{}, 0, refuse(err)
+		return Record{}, refuse(err)
 	}
 	rec := Record{Kind: string(ref[:kindLen]), Key: string(ref[kindLen:])}
 	if flag == 0 {
 		rec.Missing = true
-		return rec, 0, nil
+		return rec, nil
 	}
-	body := make([]byte, payloadLen+sha256.Size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Record{}, 0, refuse(err)
+	body, err := readBody(r, int(payloadLen)+sha256.Size)
+	if err != nil {
+		return Record{}, refuse(err)
 	}
 	rec.Payload = body[:payloadLen:payloadLen]
 	sum := sha256.Sum256(rec.Payload)
 	if !bytes.Equal(sum[:], body[payloadLen:]) {
-		return Record{}, 0, fmt.Errorf("%w: payload checksum mismatch for %s/%s", ErrCorrupt, rec.Kind, rec.Key)
+		return Record{}, fmt.Errorf("%w: payload checksum mismatch for %s/%s", ErrCorrupt, rec.Kind, rec.Key)
 	}
-	return rec, payloadLen, nil
+	return rec, nil
+}
+
+// readBody reads a frame's n-byte payload-and-checksum. It allocates
+// at most readChunk before the first byte arrives and doubles from
+// there, so a declared length the stream never delivers costs memory
+// in proportion to what did arrive.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // refuse maps raw read errors onto the package's typed refusals: any

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -185,5 +186,62 @@ func TestCountMismatchRefused(t *testing.T) {
 	full[7]++
 	if _, err := ReadAll(bytes.NewReader(full), 0); err == nil {
 		t.Fatal("count overshoot parsed cleanly")
+	}
+}
+
+// allocDuring returns the bytes f allocated.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDeclaredSizesDoNotAllocate: a stream's declared record count and
+// payload length are claims by whoever sent it. Two short streams whose
+// claims once allocated 64 MiB each must fail as truncated after
+// allocating little.
+func TestDeclaredSizesDoNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		// MaxRecords records declared, none sent.
+		{"count", []byte("FSB1\x00\x10\x00\x00")},
+		// One present frame declaring a MaxPayload payload, none sent.
+		{"payload", []byte("FSB1\x00\x00\x00\x01" + "\x01\x01\x00\x01" + "\x04\x00\x00\x00" + "tk")},
+	} {
+		var err error
+		alloc := allocDuring(func() { _, err = ReadAll(bytes.NewReader(tc.stream), 0) })
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", tc.name, err)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: %d-byte stream allocated %d bytes, budget 1 MiB", tc.name, len(tc.stream), alloc)
+		}
+	}
+}
+
+// TestPayloadBoundCheckedBeforeRead: a payload that would cross the
+// cumulative bound is refused from its declared length, before any of
+// it is read.
+func TestPayloadBoundCheckedBeforeRead(t *testing.T) {
+	stream := []byte("FSB1\x00\x00\x00\x01" + "\x01\x01\x00\x01" + "\x00\x00\x01\x00" + "tk")
+	if _, err := ReadAll(bytes.NewReader(stream), 255); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-budget declared payload: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLargePayloadRoundTrip crosses readChunk, so readBody grows its
+// buffer several times.
+func TestLargePayloadRoundTrip(t *testing.T) {
+	payload := make([]byte, 5*readChunk+17)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	got := roundTrip(t, []Record{{Kind: "taint", Key: "aabbccdd", Payload: payload}})
+	if len(got) != 1 || !bytes.Equal(got[0].Payload, payload) || cap(got[0].Payload) != len(payload) {
+		t.Fatalf("large payload did not round-trip (%d records)", len(got))
 	}
 }

@@ -158,7 +158,7 @@ const (
 	mutGroupPointer          // a descriptor's bitmap or inode-table block
 	mutSuperCount            // the superblock's free-blocks or free-inodes count
 	mutBlocksPerGroup        // blocks_per_group, narrower or wider than the bitmap block
-	mutInodesPerGroup        // inodes_per_group, up to a little past the bitmap block
+	mutInodesPerGroup        // inodes_per_group, including 0 and high-bit flips
 	mutInodesCount           // inodes_count, including high-bit flips
 	mutBlocksCount           // blocks_count near its value, or a group more or less
 	mutFirstDataBlock        // first_data_block 0..2
@@ -196,14 +196,22 @@ func runAuditCase(data []byte) ([]Problem, error) {
 
 	got := fs.Audit()
 	sb := fs.SB
-	// The one intended difference: Audit stops at an inodes_count
-	// beyond the inode tables, where auditRef would report every
-	// missing inode.
-	if n := len(got); n > 0 && uint64(sb.InodesCount) > uint64(len(fs.GDs))*uint64(sb.InodesPerGroup) &&
-		strings.HasPrefix(got[n-1].Msg, "inodes_count ") {
+	// The intended differences: Audit stops at an inodes_per_group
+	// outside 1..8×blocksize, where auditRef would report every inode
+	// slot past the bitmap block, and at an inodes_count beyond the
+	// inode tables, where auditRef would report every missing inode.
+	// Either stop ends the list, after pass-0 problems only.
+	stop := ""
+	switch {
+	case sb.InodesPerGroup == 0 || sb.InodesPerGroup > 8*sb.BlockSize():
+		stop = "inodes_per_group "
+	case uint64(sb.InodesCount) > uint64(len(fs.GDs))*uint64(sb.InodesPerGroup):
+		stop = "inodes_count "
+	}
+	if n := len(got); stop != "" && n > 0 && strings.HasPrefix(got[n-1].Msg, stop) {
 		for _, p := range got {
 			if p.Code != PBadSuper {
-				return got, fmt.Errorf("%s: inflated inodes_count: non-pass-0 problem %v", base.name, p)
+				return got, fmt.Errorf("%s: stop at %q: non-pass-0 problem %v", base.name, stop, p)
 			}
 		}
 		return got, nil
@@ -381,10 +389,7 @@ func mutate(fs *Fs, base *auditBase, r *opReader) func() {
 			sb.BlocksPerGroup = max(bpg, 1)
 		}
 	case mutInodesPerGroup:
-		// At most 64 past the bitmap block: there every inode slot is
-		// one problem in both audits (see ROADMAP), and the tail only
-		// needs to be reached.
-		mode, v := r.u8()%4, r.u16()
+		mode, v := r.u8()%5, r.u16()
 		return func() {
 			ipg := sb.InodesPerGroup
 			switch mode {
@@ -396,8 +401,10 @@ func mutate(fs *Fs, base *auditBase, r *opReader) func() {
 				ipg /= 2
 			case 3:
 				ipg = v
+			case 4: // high-bit flips, far past the bitmap block
+				ipg ^= 1 << (v % 32)
 			}
-			sb.InodesPerGroup = min(ipg, 8*bs+64)
+			sb.InodesPerGroup = ipg
 		}
 	case mutInodesCount:
 		mode, v := r.u8()%3, r.u8()

@@ -117,8 +117,16 @@ func (fs *Fs) Audit() []Problem {
 				len(fs.GDs), groups)})
 		return probs
 	}
-	// An inodes_count past the groups' inode tables would have pass 1
+	// An inodes_per_group past the inode-bitmap block would have pass 3
+	// read every bit beyond that block as set and report each slot, and
+	// an inodes_count past the groups' inode tables would have pass 1
 	// report every missing inode, one problem each.
+	if sb.InodesPerGroup == 0 || sb.InodesPerGroup > 8*sb.BlockSize() {
+		probs = append(probs, Problem{Code: PBadSuper, Group: NoGroup,
+			Msg: fmt.Sprintf("inodes_per_group %d outside 1..%d (8 × blocksize)",
+				sb.InodesPerGroup, 8*sb.BlockSize())})
+		return probs
+	}
 	if uint64(sb.InodesCount) > uint64(groups)*uint64(sb.InodesPerGroup) {
 		probs = append(probs, Problem{Code: PBadSuper, Group: NoGroup,
 			Msg: fmt.Sprintf("inodes_count %d exceeds %d groups × %d",

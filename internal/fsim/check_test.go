@@ -234,6 +234,33 @@ func TestAuditBoundsInflatedInodesCount(t *testing.T) {
 	}
 }
 
+// TestAuditBoundsInflatedInodesPerGroup: an inodes_per_group past the
+// inode-bitmap block once passed the inodes_count check, and pass 3
+// read every bit beyond the block as set and reported each slot: bit 16
+// gave 147,424 problems and 38 MB. Pass 0 now rejects it, and 0, at
+// once.
+func TestAuditBoundsInflatedInodesPerGroup(t *testing.T) {
+	for _, ipg := range []func(uint32) uint32{
+		func(v uint32) uint32 { return v | 1<<16 },
+		func(uint32) uint32 { return 0 },
+	} {
+		tr := mkTree(t)
+		sb := tr.fs.SB
+		sb.InodesPerGroup = ipg(sb.InodesPerGroup)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		probs := tr.fs.Audit()
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("inodes_per_group %d: audit allocated %d bytes, budget 1 MiB", sb.InodesPerGroup, alloc)
+		}
+		want := fmt.Sprintf("inodes_per_group %d outside 1..%d (8 × blocksize)", sb.InodesPerGroup, 8*sb.BlockSize())
+		if len(probs) != 1 || probs[0].Code != PBadSuper || probs[0].Msg != want {
+			t.Errorf("audit = %v, want one %s problem %q", probs, PBadSuper, want)
+		}
+	}
+}
+
 // TestAuditBoundsCorruptDirExtent: a directory extent whose end wraps
 // past 2^32 back inside the file system passes the range check, and
 // reading the directory once sized its buffer from the full extent

@@ -118,7 +118,7 @@ func minimumBlocks(fs *fsim.Fs) uint32 {
 		if err := fs.ReadInodeInto(ino, &in); err != nil || !in.InUse() {
 			continue
 		}
-		for i := uint16(0); i < in.ExtentCount; i++ {
+		for i := uint16(0); i < in.ValidExtents(); i++ {
 			e := in.Extents[i]
 			if end := e.Start + e.Len; end > last {
 				last = end

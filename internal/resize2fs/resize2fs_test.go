@@ -290,3 +290,27 @@ func TestMinimumOnlyShrink(t *testing.T) {
 		t.Fatalf("not clean: %v", probs)
 	}
 }
+
+// TestMinimumOnlyCorruptExtentCount: an on-disk extent count beyond the
+// inode's extent slots must not crash the minimum-size scan.
+func TestMinimumOnlyCorruptExtentCount(t *testing.T) {
+	dev := mkFs(t, nil)
+	fs, err := fsim.Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := fs.ReadInode(fsim.RootIno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.ExtentCount = fsim.MaxInlineExtents + 5
+	if err := fs.WriteInode(fsim.RootIno, root); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(dev, Options{MinimumOnly: true, Force: true}); err != nil {
+		t.Logf("shrink -M on a corrupt inode: %v", err)
+	}
+}

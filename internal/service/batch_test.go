@@ -1,9 +1,7 @@
 // Chaos contract tests for the bulk store protocol: every way a batch
 // transfer can go wrong — mid-stream truncation, a corrupted frame,
-// compressed garbage, an open breaker, a daemon answering the batch
-// routes with 404 — must yield a clean client-side refusal with zero records
-// admitted to any tier, and the per-record fallback must stay
-// byte-identical to the batch path.
+// compressed garbage, an open breaker — must yield a clean client-side
+// refusal with zero records admitted to any tier.
 
 package service
 
@@ -158,10 +156,10 @@ func mangleBatchGet(inner http.Handler, mangle func([]byte) []byte) http.Handler
 	})
 }
 
-// assertBatchRefused drives a prefetch against a mangled daemon and
-// asserts the full contract: BatchGet refuses, nothing is admitted to
-// the local tier, and the breaker records a healthy exchange (payload
-// damage is not daemon death).
+// assertBatchRefused drives a prefetch and a Get against a mangled
+// daemon and asserts the full contract: BatchGet refuses, the Get is a
+// clean miss, nothing is admitted to the local tiers, and the breaker
+// records a healthy exchange (payload damage is not daemon death).
 func assertBatchRefused(t *testing.T, name string, mangle func([]byte) []byte) {
 	t.Helper()
 	_, store, _ := newServerT(t)
@@ -194,11 +192,13 @@ func assertBatchRefused(t *testing.T, name string, mangle func([]byte) []byte) {
 	if bs.Batches != 0 {
 		t.Fatalf("%s: refused transfers counted as completed batches", name)
 	}
-	// The per-record path through the same store still answers — the
-	// degraded mode is slower, never wrong.
-	got, ok := local.Get(recs[0].Kind, recs[0].Key)
-	if !ok || !bytes.Equal(got, recs[0].Payload) {
-		t.Fatalf("%s: per-record fallback failed after batch refusal", name)
+	// The Get's one-ref batch is damaged the same way: a clean miss,
+	// still with nothing admitted.
+	if got, ok := local.Get(recs[0].Kind, recs[0].Key); ok {
+		t.Fatalf("%s: Get served %q from a damaged stream", name, got)
+	}
+	if st := local.Stats(); st.RemoteHits != 0 || st.Writes != 0 || st.Misses != 1 {
+		t.Fatalf("%s: damaged Get admitted records or miscounted: %+v", name, st)
 	}
 }
 
@@ -234,8 +234,8 @@ func TestBatchShortCircuitsOpenBreaker(t *testing.T) {
 		Threshold:  1,
 		Cooldown:   time.Hour,
 	})
-	if _, ok := c.Get(depstore.KindTaint, depstore.Key("trip")); ok {
-		t.Fatal("Get against a 500ing server succeeded")
+	if _, ok := c.BatchGet([]depstore.Ref{{Kind: depstore.KindTaint, Key: depstore.Key("trip")}}); ok {
+		t.Fatal("BatchGet against a 500ing server succeeded")
 	}
 	if c.Stats().State != "open" {
 		t.Fatalf("breaker %s after threshold failures, want open", c.Stats().State)
@@ -250,90 +250,5 @@ func TestBatchShortCircuitsOpenBreaker(t *testing.T) {
 	}
 	if got := c.Stats().RoundTrips; got != rt {
 		t.Fatalf("open breaker let %d batch round trips through", got-rt)
-	}
-}
-
-// legacyHandler emulates a daemon whose batch routes fail with 404
-// while the per-record surface answers.
-func legacyHandler(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/store/batch-") {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
-// TestMixedVersionFallback proves a client whose batch calls fail with
-// 404 degrades silently to per-record traffic with byte-identical
-// results.
-func TestMixedVersionFallback(t *testing.T) {
-	recs, refs := batchFixture(3)
-
-	run := func(t *testing.T, url string) map[depstore.Ref][]byte {
-		c := remote.New(url)
-		local, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir(), Remote: c, HotRecords: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		local.Prefetch(refs)
-		out := make(map[depstore.Ref][]byte, len(refs))
-		for _, ref := range refs {
-			if payload, ok := local.Get(ref.Kind, ref.Key); ok {
-				out[ref] = payload
-			}
-		}
-		// Write one new record through the tiered store and flush: the
-		// modern path batches it, the legacy path falls back per-record.
-		extra := depstore.BatchRecord{
-			Ref:     depstore.Ref{Kind: depstore.KindScenario, Key: depstore.Key("mixed-extra")},
-			Payload: []byte(`{"fresh":true}`),
-		}
-		if err := local.Put(extra.Kind, extra.Key, extra.Payload); err != nil {
-			t.Fatal(err)
-		}
-		local.FlushRemote()
-		out[extra.Ref] = extra.Payload
-		return out
-	}
-
-	seed := func(t *testing.T, store *depstore.Store) {
-		for _, rec := range recs {
-			if err := store.Put(rec.Kind, rec.Key, rec.Payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Modern daemon.
-	_, modernStore, modernTS := newServerT(t)
-	seed(t, modernStore)
-	modernOut := run(t, modernTS.URL)
-
-	// Legacy daemon over its own identical store.
-	legacyStore, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed(t, legacyStore)
-	lts := httptest.NewServer(legacyHandler(NewServer(nil, legacyStore, nil, "test").Handler()))
-	defer lts.Close()
-	legacyOut := run(t, lts.URL)
-
-	if len(modernOut) != len(legacyOut) {
-		t.Fatalf("modern served %d records, legacy %d", len(modernOut), len(legacyOut))
-	}
-	for ref, want := range modernOut {
-		if !bytes.Equal(legacyOut[ref], want) {
-			t.Fatalf("fallback payload differs for %s/%s", ref.Kind, ref.Key)
-		}
-	}
-	// Both daemons ended up owning the freshly written record.
-	extraKey := depstore.Key("mixed-extra")
-	mp, mok := modernStore.Get(depstore.KindScenario, extraKey)
-	lp, lok := legacyStore.Get(depstore.KindScenario, extraKey)
-	if !mok || !lok || !bytes.Equal(mp, lp) {
-		t.Fatal("flushed record did not reach both daemons identically")
 	}
 }

@@ -65,6 +65,15 @@ func chaosClientConfig() remote.Config {
 	}
 }
 
+// getOne fetches one record in a one-ref batch, the way a local miss
+// in depstore.Store does.
+func getOne(c *remote.Client, kind, key string) ([]byte, bool) {
+	ref := depstore.Ref{Kind: kind, Key: key}
+	got, ok := c.BatchGet([]depstore.Ref{ref})
+	payload, have := got[ref]
+	return payload, ok && have
+}
+
 // analyzeVia runs the full fixture analysis through a tiered store
 // whose remote is the given client, returning the rendered results.
 func analyzeVia(t *testing.T, client *remote.Client) string {
@@ -124,7 +133,7 @@ func TestChaosBreakerRecoveryByteIdentical(t *testing.T) {
 	// The daemon is back; each short-circuited request advances the
 	// clock toward the cooldown, then a probe must re-close the breaker.
 	for i := 0; i < 100 && client.Stats().Recloses == 0; i++ {
-		client.Get("taint", strings.Repeat("ab", 16))
+		getOne(client, "taint", strings.Repeat("ab", 16))
 	}
 	st = client.Stats()
 	if st.Recloses == 0 || st.Probes == 0 {
@@ -168,12 +177,12 @@ func TestChaosTruncatedResponsesDegradeToMisses(t *testing.T) {
 	cfg.Threshold = 10 // keep the breaker out of the way: truncation itself is under test
 	client := remote.NewWithConfig(ts.URL, cfg)
 	for i := 0; i < 3; i++ {
-		if got, ok := client.Get("taint", key); ok {
+		if got, ok := getOne(client, "taint", key); ok {
 			t.Fatalf("truncated response served as a record: %q", got)
 		}
 	}
 	// Request 4 is past the fault plan: the intact record comes through.
-	got, ok := client.Get("taint", key)
+	got, ok := getOne(client, "taint", key)
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("post-chaos get = %q, %v; want the intact record", got, ok)
 	}
@@ -266,13 +275,13 @@ func TestChaosDisconnectsAndRetries(t *testing.T) {
 	cfg.MaxRetries = 2
 	client := remote.NewWithConfig(ts.URL, cfg)
 	// Server ops: 1 dropped, 2 ok — the retry rides out the drop.
-	got, ok := client.Get("taint", key)
+	got, ok := getOne(client, "taint", key)
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("get across a dropped connection = %q, %v", got, ok)
 	}
 	// Server ops: 3 dropped, 4 ok — same story, and the breaker stays
 	// closed because every logical request ultimately succeeded.
-	if got, ok := client.Get("taint", key); !ok || string(got) != string(payload) {
+	if got, ok := getOne(client, "taint", key); !ok || string(got) != string(payload) {
 		t.Fatalf("second get across a drop = %q, %v", got, ok)
 	}
 	st := client.Stats()

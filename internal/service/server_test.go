@@ -14,6 +14,7 @@ import (
 	"fsdep/internal/depmodel"
 	"fsdep/internal/depstore"
 	"fsdep/internal/depstore/remote"
+	"fsdep/internal/depstore/wire"
 	"fsdep/internal/sched"
 )
 
@@ -177,42 +178,93 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// postStore sends one raw request to a batch store route and returns
+// the status and body.
+func postStore(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, got
+}
+
+// manifestJSON is a batch-get body asking for one ref.
+func manifestJSON(kind, key string) []byte {
+	return []byte(fmt.Sprintf(`{"refs":[{"kind":%q,"key":%q}]}`, kind, key))
+}
+
+// streamOf frames one record as a batch-put body.
+func streamOf(t *testing.T, kind, key string, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.Write(&buf, []wire.Record{{Kind: kind, Key: key, Payload: payload}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestStoreEndpoints(t *testing.T) {
 	_, _, ts := newServerT(t)
+	getURL, putURL := ts.URL+"/v1/store/batch-get", ts.URL+"/v1/store/batch-put"
 	key := depstore.Key("wire-record")
-	url := ts.URL + "/v1/store/taint/" + key
 	payload := []byte("raw payload bytes, not json")
 
-	getJSON(t, url, http.StatusNotFound, nil)
+	// fetch asks for the record and returns its one answer frame.
+	fetch := func() wire.Record {
+		t.Helper()
+		status, body := postStore(t, getURL, manifestJSON("taint", key))
+		if status != http.StatusOK {
+			t.Fatalf("batch-get = %d (%s), want 200", status, body)
+		}
+		recs, err := wire.ReadAll(bytes.NewReader(body), 0)
+		if err != nil || len(recs) != 1 || recs[0].Kind != "taint" || recs[0].Key != key {
+			t.Fatalf("batch-get answer = %+v, %v; want one frame for the ref", recs, err)
+		}
+		return recs[0]
+	}
 
-	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(payload))
+	if rec := fetch(); !rec.Missing {
+		t.Fatalf("absent ref answered with payload %q", rec.Payload)
+	}
+	if status, body := postStore(t, putURL, streamOf(t, "taint", key, payload)); status != http.StatusNoContent {
+		t.Fatalf("batch-put = %d (%s), want 204", status, body)
+	}
+	if rec := fetch(); rec.Missing || !bytes.Equal(rec.Payload, payload) {
+		t.Errorf("stored ref answered %+v, want payload %q", rec, payload)
+	}
+
+	// Malformed references are rejected before touching the store, in
+	// a manifest and in an uploaded stream alike.
+	for _, bad := range []struct{ kind, key string }{
+		{"TAINT", key},                      // uppercase kind
+		{"taint", "short"},                  // non-hex, too-short key
+		{"taint", strings.Repeat("ab", 80)}, // oversized key
+	} {
+		if status, body := postStore(t, getURL, manifestJSON(bad.kind, bad.key)); status != http.StatusBadRequest {
+			t.Errorf("batch-get of %s/%s = %d (%s), want 400", bad.kind, bad.key, status, body)
+		}
+		if status, body := postStore(t, putURL, streamOf(t, bad.kind, bad.key, payload)); status != http.StatusBadRequest {
+			t.Errorf("batch-put of %s/%s = %d (%s), want 400", bad.kind, bad.key, status, body)
+		}
+	}
+
+	// The batch routes are the whole store surface: no per-record path.
+	getJSON(t, ts.URL+"/v1/store/taint/"+key, http.StatusNotFound, nil)
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/store/taint/"+key, bytes.NewReader(payload))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT = %d, want 204", resp.StatusCode)
-	}
-
-	resp, err = http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(got) != string(payload) {
-		t.Errorf("GET = %d %q", resp.StatusCode, got)
-	}
-
-	// Malformed references are rejected before touching the store.
-	for _, bad := range []string{
-		"/v1/store/TAINT/" + key,                      // uppercase kind
-		"/v1/store/taint/short",                       // non-hex, too-short key
-		"/v1/store/taint/" + strings.Repeat("ab", 80), // oversized key
-	} {
-		getJSON(t, ts.URL+bad, http.StatusBadRequest, nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("PUT of a per-record path = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -223,7 +275,13 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewServer(a, nil, nil, "test").Handler())
 	defer ts.Close()
-	getJSON(t, ts.URL+"/v1/store/taint/"+depstore.Key("x"), http.StatusServiceUnavailable, nil)
+	key := depstore.Key("x")
+	if status, _ := postStore(t, ts.URL+"/v1/store/batch-get", manifestJSON("taint", key)); status != http.StatusServiceUnavailable {
+		t.Errorf("batch-get without a store = %d, want 503", status)
+	}
+	if status, _ := postStore(t, ts.URL+"/v1/store/batch-put", streamOf(t, "taint", key, []byte("x"))); status != http.StatusServiceUnavailable {
+		t.Errorf("batch-put without a store = %d, want 503", status)
+	}
 }
 
 // TestRemoteTierWarmStart is the fleet contract end to end, in

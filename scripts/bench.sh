@@ -222,34 +222,4 @@ if [ -n "$gate" ]; then
 	else
 		echo "parallel gate: skipped ($cores cores < 4)" >&2
 	fi
-
-	# Warm-start gate: the batch store protocol must beat the
-	# per-record fallback on wall clock by BENCH_WARM_FLOOR (default
-	# 2x — the measured gap is ~10x, the floor only catches the batch
-	# path silently degrading to per-record traffic). The >=5x
-	# round-trip ratio is asserted inside the benchmark itself.
-	awk -v floor="${BENCH_WARM_FLOOR:-2}" '
-	/"BenchmarkRemoteWarmStart\// && /ns_per_op/ {
-		split($0, q, "\"")
-		name = q[2]
-		rest = $0
-		sub(/.*"ns_per_op": */, "", rest)
-		sub(/[,}].*/, "", rest)
-		if (name ~ /\/batch$/) batch = rest + 0
-		if (name ~ /\/per-record$/) per = rest + 0
-	}
-	END {
-		if (batch == 0 || per == 0) {
-			print "warm-start gate: BenchmarkRemoteWarmStart results missing"
-			exit 1
-		}
-		speedup = per / batch
-		if (speedup < floor) {
-			printf "GATE: warm-start batch path only %.2fx faster than per-record, floor %.2fx (batch %.0f ns/op, per-record %.0f ns/op)\n",
-				speedup, floor, batch, per
-			exit 1
-		}
-		printf "warm-start gate: batch %.2fx faster than per-record (floor %.2fx)\n", speedup, floor
-	}
-	' "$out" >&2
 fi
